@@ -13,8 +13,8 @@ from .config import (apply_override, config_to_dict, load_config,
 from .errors import (BlowUpError, ConfigError, DelaycompError,
                      FutureQueryError, GridMismatchError,
                      IllConditionedTransitionError, UsageError)
-from .grid import (GridProfile, estimation_error_profile, fd_x_wide,
-                   grid_nodes, spatial_derivative)
+from .grid import (GridProfile, HalfGridProfile, estimation_error_profile,
+                   fd_x_wide, grid_nodes, spatial_derivative)
 from .history import (ControlHistory, distributed_estimated_input,
                       distributed_true_input, sample_control)
 from .kernels import (KernelInputs, KernelSet, eval_all,
@@ -43,7 +43,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "ConfigError", "ControlHistory", "Controller",
     "DelayBounds", "DelaySchedule", "DelaycompError", "FutureQueryError",
-    "GridMismatchError", "GridProfile", "IllConditionedTransitionError",
+    "GridMismatchError", "GridProfile", "HalfGridProfile",
+    "IllConditionedTransitionError",
     "KernelInputs", "KernelSet", "LyapunovCertificate", "PlantBundle",
     "PlantModel", "ResidualReport", "ScenarioConfig", "SimulationResult",
     "SystemSnapshot", "TransitionField", "UsageError", "apply_override",

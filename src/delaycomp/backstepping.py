@@ -32,7 +32,7 @@ def inverse_transform(model, controller, X, what, dhat):
     w_half = _half_grid_values(what)
     m = what.num_intervals
 
-    def rhs(ih, x, p):
+    def rhs(ih, p):
         return dhat * model.f(p, w_half[ih] + controller.kappa(p))
 
     pv = _march(rhs, X, m)

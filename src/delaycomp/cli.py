@@ -1,10 +1,13 @@
 """Command-line front end: simulate, verify, sweep.
 
-Exit codes are fixed: 0 success, 2 configuration error, 3 trajectory or
-predictor blow-up, 4 numeric failure (ill-conditioned transition matrices
-or a linear-algebra fault), 5 verification failure (residual study ran but
-an equation missed its threshold).  The default output root comes from the
-DELAYCOMP_OUT_ROOT environment variable, falling back to ./runs.
+Exit codes are fixed: 0 success, 2 configuration or usage error
+(`ConfigError`, `UsageError`), 3 trajectory or predictor blow-up, 4 numeric
+failure (ill-conditioned transition matrices, a linear-algebra fault, or
+any other `DelaycompError`, such as a `FutureQueryError`), 5 verification
+failure (residual study ran but an equation missed its threshold).  Errors
+are reported on stderr, never as a traceback.  The default output root
+comes from the DELAYCOMP_OUT_ROOT environment variable, falling back to
+./runs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import time
 import numpy as np
 
 from .config import apply_override, config_to_dict, load_config
-from .errors import BlowUpError, ConfigError, IllConditionedTransitionError
+from .errors import (BlowUpError, ConfigError, DelaycompError,
+                     IllConditionedTransitionError, UsageError)
 from .residuals import (analysis_window_start, convergence_study,
                         evaluate_snapshot_residuals)
 from .serialize import (snapshot_meta, snapshot_rows, trajectory_rows,
@@ -97,12 +101,15 @@ def _parse_ladder(text):
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
-            m_s, dt_s = part.split(":", 1)
-            rungs.append((int(m_s), float(dt_s)))
-        else:
-            m = int(part)
-            rungs.append((m, 1.0 / (10.0 * m)))
+        try:
+            if ":" in part:
+                m_s, dt_s = part.split(":", 1)
+                rungs.append((int(m_s), float(dt_s)))
+            else:
+                m = int(part)
+                rungs.append((m, 1.0 / (10.0 * m)))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"bad ladder rung {part!r}") from None
     return rungs
 
 
@@ -259,10 +266,13 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (IllConditionedTransitionError, FloatingPointError,
+    except (DelaycompError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -3,7 +3,8 @@
 All distributed fields (actuator state, its estimate, the predictor, the
 transformed state and every spatial derivative) live on the same M+1 node
 grid, as `GridProfile` instances wrapping a plain ndarray with node index
-along axis 0.
+along axis 0.  A `HalfGridProfile` adds the interval midpoints, which the
+predictor march reads as its stage inputs.
 """
 
 from __future__ import annotations
@@ -71,6 +72,37 @@ class GridProfile:
     def same_grid(self, other):
         return (self.num_intervals == other.num_intervals
                 and self.values.shape[1:] == other.values.shape[1:])
+
+
+@dataclass
+class HalfGridProfile:
+    """Samples of a scalar field at the nodes and the midpoints of the
+    M-interval grid, x_j = j/(2M) for j = 0..2M.
+
+    This is what an RK4 march over the grid reads: every stage input is a
+    sample, so no interpolation between nodes is needed.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        count = self.values.shape[0]
+        if count % 2 == 0 or count < 2 * MIN_INTERVALS + 1:
+            raise UsageError(
+                f"half grid needs 2M+1 samples with M >= {MIN_INTERVALS}, "
+                f"got {count}")
+        if not np.all(np.isfinite(self.values)):
+            raise UsageError("profile contains non-finite values")
+
+    @property
+    def num_intervals(self):
+        return (self.values.shape[0] - 1) // 2
+
+    @property
+    def nodes(self):
+        """The node samples as a GridProfile (a copy)."""
+        return GridProfile(self.values[::2].copy())
 
 
 def spatial_derivative(profile):

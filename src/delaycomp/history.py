@@ -16,6 +16,7 @@ from .errors import FutureQueryError, UsageError
 from .grid import GridProfile, grid_nodes
 
 _REL_TOL = 1e-9
+_CHUNK = 4096  # query times interpolated per vectorized pass
 
 
 class ControlHistory:
@@ -97,6 +98,55 @@ class ControlHistory:
         kb = kb[on_grid & (kb > 0) & (kb < self._n - 1)]
         return np.unique(kb)
 
+    def settled(self, thetas):
+        """Mask of the times whose interpolated value is final.
+
+        A time is settled when its interpolation stencil, including one
+        moved to a side of a break, uses only samples already recorded and
+        no break that a later sample could bring into play: appending
+        samples cannot change `sample_many` there (replacing a recorded
+        sample can), as long as the buffer is not trimmed in between.
+        Nothing is settled while fewer than four samples exist.
+        """
+        th = np.asarray(thetas, dtype=float)
+        if self._n < 4:
+            return np.zeros(th.shape, dtype=bool)
+        return np.floor((th - self._t0) / self.dt) <= self._n - 4
+
+    def _lagrange(self, tl, kinks):
+        """Four-point interpolation at times inside the recording (at least
+        four samples); `kinks` are the on-grid break indices or None."""
+        vals = self._buf[:self._n]
+        pos = (tl - self._t0) / self.dt
+        idx = np.minimum(np.maximum(np.floor(pos).astype(int), 0),
+                         self._n - 2)
+        base = np.minimum(np.maximum(idx - 1, 0), self._n - 4)
+        # a break moves a stencil only when it sits at idx, idx+1 or idx+2,
+        # so most calls skip the search below
+        if kinks is not None and np.any(
+                (kinks >= np.min(idx)) & (kinks <= np.max(idx) + 2)):
+            j = np.searchsorted(kinks, idx, side="right")
+            lo = np.where(j > 0, kinks[np.maximum(j - 1, 0)], 0)
+            j = np.searchsorted(kinks, idx + 1, side="left")
+            hi = np.where(j < kinks.size,
+                          kinks[np.minimum(j, kinks.size - 1)],
+                          self._n - 1)
+            lo = np.maximum(lo, 0)
+            hi = np.minimum(hi - 3, self._n - 4)
+            # only shift stencils where the smooth piece is wide enough to
+            # hold one
+            ok = lo <= hi
+            base = np.where(ok, np.clip(base, lo, np.maximum(hi, 0)), base)
+        s = pos - base
+        s1, s2, s3 = s - 1.0, s - 2.0, s - 3.0
+        # the Lagrange weights times the stencil samples, summed in order
+        # one term at a time
+        acc = -s1 * s2 * s3 / 6.0 * vals[base]
+        acc += s * s2 * s3 / 2.0 * vals[base + 1]
+        acc += -s * s1 * s3 / 2.0 * vals[base + 2]
+        acc += s * s1 * s2 / 6.0 * vals[base + 3]
+        return acc
+
     def sample_many(self, thetas, allow_tail_extrapolation=False,
                     breaks=None):
         """Vectorized U(theta); exactly the stored value at sample times.
@@ -132,6 +182,7 @@ class ControlHistory:
         live = th >= self._t0 - tol
         if not np.any(live):
             return float(out[0]) if scalar else out
+        live = slice(None) if np.all(live) else live
         tl = th[live]
         vals = self._buf[:self._n]
 
@@ -143,32 +194,14 @@ class ControlHistory:
                               vals, self._n - 1)
             out[live] = np.polyval(coef, tl)
         else:
-            pos = (tl - self._t0) / self.dt
-            idx = np.clip(np.floor(pos).astype(int), 0, self._n - 2)
-            base = np.clip(idx - 1, 0, self._n - 4)
-            if breaks is not None:
-                kinks = self._break_indices(breaks)
-                if kinks.size:
-                    j = np.searchsorted(kinks, idx, side="right")
-                    lo = np.where(j > 0, kinks[np.maximum(j - 1, 0)], 0)
-                    j = np.searchsorted(kinks, idx + 1, side="left")
-                    hi = np.where(j < kinks.size,
-                                  kinks[np.minimum(j, kinks.size - 1)],
-                                  self._n - 1)
-                    lo = np.maximum(lo, 0)
-                    hi = np.minimum(hi - 3, self._n - 4)
-                    # only shift stencils where the smooth piece is wide
-                    # enough to hold one
-                    ok = lo <= hi
-                    base = np.where(ok, np.clip(base, lo, np.maximum(hi, 0)),
-                                    base)
-            s = pos - base
-            w0 = -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
-            w1 = s * (s - 2.0) * (s - 3.0) / 2.0
-            w2 = -s * (s - 1.0) * (s - 3.0) / 2.0
-            w3 = s * (s - 1.0) * (s - 2.0) / 6.0
-            out[live] = (w0 * vals[base] + w1 * vals[base + 1]
-                         + w2 * vals[base + 2] + w3 * vals[base + 3])
+            kinks = None if breaks is None else self._break_indices(breaks)
+            flat = tl.reshape(-1)
+            res = np.empty(flat.size)
+            # in chunks, so a large query keeps few temporaries alive
+            for lo in range(0, flat.size, _CHUNK):
+                res[lo:lo + _CHUNK] = self._lagrange(flat[lo:lo + _CHUNK],
+                                                     kinks)
+            out[live] = res.reshape(tl.shape)
         return float(out[0]) if scalar else out
 
 

@@ -1,6 +1,10 @@
 """Plant models, nominal feedback laws, and their analytic derivatives.
 
 A plant is ``Xdot = f(X, v)`` with scalar input ``v`` and state ``X`` in R^n.
+``f`` is array-native: it maps states of shape (..., n) and inputs of shape
+(...) to rates of shape (..., n), so one call evaluates a batch of (K, n)
+states with (K,) inputs (the lockstep predictor march and the nodewise
+predictor derivative rely on this) or a single (n,) state with a scalar.
 Besides ``f`` itself the model carries the Jacobians and the mixed second
 derivatives that the kernel expansions consume.  Third-order data
 (``d2f_dX2``, ``d3kappa_dX3``) is optional; when absent it is reconstructed
@@ -30,7 +34,13 @@ def _as_state(X, dim):
 
 @dataclass
 class PlantModel:
-    """Dynamics f and its derivatives up to the order the kernels need."""
+    """Dynamics f and its derivatives up to the order the kernels need.
+
+    `f(X, u)` must broadcast over leading axes: X of shape (..., n) and u
+    of shape (...) give (..., n), each row computed as a single-state call
+    would compute it.  There is no per-row fallback for a scalar-only f.
+    The derivative callbacks take one (n,) state and a scalar input.
+    """
 
     dim: int
     f: Callable[[np.ndarray, float], np.ndarray]
@@ -264,7 +274,7 @@ def make_integrator():
     """Scalar integrator Xdot = v with kappa = -X, V = X^2."""
     model = PlantModel(
         dim=1,
-        f=lambda X, u: np.array([u]),
+        f=lambda X, u: np.asarray(u, dtype=float)[..., None],
         df_dX=lambda X, u: np.zeros((1, 1)),
         df_du=lambda X, u: np.ones(1),
         d2f_dudX=lambda X, u: np.zeros((1, 1)),
@@ -295,7 +305,7 @@ def make_linear(a=1.0, b=1.0, k=2.0):
     a, b, k = float(a), float(b), float(k)
     model = PlantModel(
         dim=1,
-        f=lambda X, u: np.array([a * X[0] + b * u]),
+        f=lambda X, u: (a * X[..., 0] + b * u)[..., None],
         df_dX=lambda X, u: np.array([[a]]),
         df_du=lambda X, u: np.array([b]),
         d2f_dudX=lambda X, u: np.zeros((1, 1)),
@@ -332,7 +342,7 @@ def make_cubic():
     """
     model = PlantModel(
         dim=1,
-        f=lambda X, u: np.array([-X[0] ** 3 + u]),
+        f=lambda X, u: (-(X[..., 0] * X[..., 0] * X[..., 0]) + u)[..., None],
         df_dX=lambda X, u: np.array([[-3.0 * X[0] ** 2]]),
         df_du=lambda X, u: np.ones(1),
         d2f_dudX=lambda X, u: np.zeros((1, 1)),
@@ -369,7 +379,9 @@ def make_double_integrator():
     K = np.array([1.0, 2.0])
     model = PlantModel(
         dim=2,
-        f=lambda X, u: A @ X + B * u,
+        # A X + B u written out, so a batch row equals a single call exactly
+        f=lambda X, u: np.stack(
+            [X[..., 1], np.broadcast_to(u, np.shape(X)[:-1])], axis=-1),
         df_dX=lambda X, u: A.copy(),
         df_du=lambda X, u: B.copy(),
         d2f_dudX=lambda X, u: np.zeros((2, 2)),

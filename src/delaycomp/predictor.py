@@ -2,9 +2,21 @@
 linearization.
 
 The predictor solves dp/dx = Dhat f(p, uhat(x)) from p(0) = X by classical
-fourth-order steps over the grid, with the actuator estimate interpolated
-between nodes by a cubic spline of its profile.  The transition field
-collects Phi(x_i, 0) for the space-varying equation
+fourth-order steps over the grid.  Its stage inputs are the actuator
+estimate at the nodes and the interval midpoints, a `HalfGridProfile`
+that callers sample straight from the recorded input, so no interpolant
+is built for a march and every stage input is local in time.  A node-only
+`GridProfile` is still accepted; its midpoints come from a cubic spline
+through the nodes.
+
+`_march` runs the RK4 sweep.  Its state may carry a leading member axis,
+so several marches advance in lockstep through one sweep (the closed-loop
+simulator uses this for the known prefixes of a block of steps, see
+`simulate`), and it can start and stop at interior nodes.  Blow-up is
+checked once per march, after the sweep, by locating the first node that
+left the finite range.
+
+The transition field collects Phi(x_i, 0) for the space-varying equation
 dr/dx = Dhat (df/dX)(p(x), uhat(x)) r, from which Phi(x, y) is composed as
 Phi(x, 0) Phi(y, 0)^{-1}.
 """
@@ -17,35 +29,62 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import BlowUpError, IllConditionedTransitionError, UsageError
-from .grid import GridProfile, grid_nodes
+from .grid import GridProfile, HalfGridProfile, grid_nodes
 
 BLOWUP_LIMIT = 1e8
 COND_LIMIT = 1e12
 
 
-def _march(rhs, y0, num_intervals, blowup_x=True):
-    """RK4 march of dy/dx = rhs(i_half, x, y) over the unit grid.
+def _march(rhs, y0, num_intervals, start=0, stops=None):
+    """RK4 march of dy/dx = rhs(i_half, y) over the unit grid.
 
-    `rhs` receives the x position so node/midpoint samples can be looked up
-    from precomputed arrays; `i_half` indexes the half-grid (2M+1 points).
+    `rhs` receives the half-grid index (2M+1 points) of the stage, so node
+    and midpoint samples are looked up from precomputed arrays.  The march
+    starts from `y0` at node `start` and returns the states at nodes
+    start..M, after checking once that none left the finite range
+    (BlowUpError naming the first node that did).
+
+    Lockstep form: with `stops`, `y0` is (K, n), one row per member, and
+    member k stops at node stops[k]; `stops` must not increase along the
+    rows, so the members still marching are always a leading block of
+    rows, and `rhs` gets that block.  The result is (nodes, K, n) with the
+    entries past a member's stop left unset, and the escape check is left
+    to the caller, which knows each member's place in step order.
     """
     h = 1.0 / num_intervals
-    y = np.empty((num_intervals + 1,) + np.shape(y0))
+    if stops is None:
+        end, active = num_intervals, None
+    else:
+        stops = np.asarray(stops, dtype=int)
+        end = int(stops[0]) if stops.size else start
+        active = np.count_nonzero(
+            stops[None, :] > np.arange(start, end)[:, None], axis=1)
+    y = np.empty((end - start + 1,) + np.shape(y0))
     y[0] = y0
-    for i in range(num_intervals):
-        x = i * h
-        yi = y[i]
-        k1 = rhs(2 * i, x, yi)
-        k2 = rhs(2 * i + 1, x + 0.5 * h, yi + 0.5 * h * k1)
-        k3 = rhs(2 * i + 1, x + 0.5 * h, yi + 0.5 * h * k2)
-        k4 = rhs(2 * i + 2, x + h, yi + h * k3)
-        y[i + 1] = yi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if blowup_x and (not np.all(np.isfinite(y[i + 1]))
-                         or np.max(np.abs(y[i + 1])) > BLOWUP_LIMIT):
-            raise BlowUpError(
-                f"predictor march escaped near x={(i + 1) * h:.4f}",
-                x=(i + 1) * h)
+    with np.errstate(all="ignore"):
+        for i in range(start, end):
+            r = i - start
+            rows = slice(None) if active is None else slice(0, active[r])
+            yi = y[r, rows]
+            k1 = rhs(2 * i, yi)
+            k2 = rhs(2 * i + 1, yi + 0.5 * h * k1)
+            k3 = rhs(2 * i + 1, yi + 0.5 * h * k2)
+            k4 = rhs(2 * i + 2, yi + h * k3)
+            y[r + 1, rows] = yi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if stops is None:
+        check_escape(y, num_intervals, start)
     return y
+
+
+def check_escape(y, num_intervals, start=0):
+    """Raise BlowUpError at the first node after `start` whose state is
+    non-finite or beyond BLOWUP_LIMIT; `y` holds nodes start, start+1, ..."""
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(y[1:]) <= BLOWUP_LIMIT)
+    rows = bad.any(axis=tuple(range(1, bad.ndim)))
+    if rows.any():
+        x = (start + int(np.argmax(rows)) + 1) * (1.0 / num_intervals)
+        raise BlowUpError(f"predictor march escaped near x={x:.4f}", x=x)
 
 
 def _half_grid_values(profile):
@@ -56,25 +95,31 @@ def _half_grid_values(profile):
 
 
 def compute_predictor(model, X, uhat, dhat):
-    """March the predictor profile from the state and the actuator estimate."""
+    """March the predictor profile from the state and the actuator estimate.
+
+    `uhat` is a HalfGridProfile (the estimate at nodes and midpoints); a
+    node-only GridProfile gets spline midpoints.  Returns the node profile.
+    """
     if dhat <= 0.0:
         raise UsageError("delay estimate must be positive")
     X = np.atleast_1d(np.asarray(X, dtype=float))
-    uh = _half_grid_values(uhat)
+    if isinstance(uhat, HalfGridProfile):
+        uh = uhat.values
+    else:
+        uh = _half_grid_values(uhat)
     m = uhat.num_intervals
 
-    def rhs(ih, x, p):
+    def rhs(ih, p):
         return dhat * model.f(p, uh[ih])
 
     return GridProfile(_march(rhs, X, m))
 
 
 def predictor_spatial_derivative(model, phat, uhat, dhat):
-    """p_x(x) = Dhat f(p(x), uhat(x)) nodewise (the marched equation itself)."""
-    vals = np.stack([
-        dhat * model.f(np.atleast_1d(phat.values[i]), uhat.values[i])
-        for i in range(phat.values.shape[0])
-    ])
+    """p_x(x) = Dhat f(p(x), uhat(x)) at the nodes (the marched equation
+    itself), one array call of f over all nodes."""
+    p = phat.values.reshape(phat.values.shape[0], -1)
+    vals = dhat * model.f(p, uhat.values)
     if phat.values.ndim == 1:
         vals = vals[:, 0]
     return GridProfile(vals)
@@ -119,7 +164,7 @@ def compute_transition_field(model, phat, uhat, dhat):
     uh = _half_grid_values(uhat)
     m = uhat.num_intervals
 
-    def rhs(ih, x, Phi):
+    def rhs(ih, Phi):
         A = np.asarray(model.df_dX(np.atleast_1d(ph[ih]), uh[ih]), dtype=float)
         return dhat * (A @ Phi)
 

@@ -3,10 +3,28 @@
 The plant Xdot = f(X, U(t - D)) is stepped with classical fourth-order
 stages; the delayed input between samples comes from the cubic history
 interpolant.  At each step the control is set to kappa(p(1, t)) where p is
-the predictor marched through the current actuator-estimate profile.  The
-loop is causal: U(t) is first computed from a one-step tail extrapolation
-of the history, and refined by a second predictor march at snapshot steps
-so that the recorded boundary identity w(1, t) = 0 holds to roundoff.
+the predictor marched through the current actuator-estimate profile, whose
+node and midpoint samples are read straight from the history.  The loop is
+causal: U(t) is first computed from a one-step tail extrapolation of the
+history, and refined by re-marching at snapshot steps so that the recorded
+boundary identity w(1, t) = 0 holds to roundoff.
+
+Steps are processed in blocks of up to `_BLOCK` consecutive steps:
+
+* block start: the plant state is advanced through the block, as far as
+  its delayed inputs are already recorded (the input delay D caps the
+  block), and one `sample_many` call takes the settled prefix of every
+  member's estimate profile, the part no later sample can change;
+* prefix: `_march` runs all prefixes in lockstep as one (K, n) state, each
+  member stopping at the end of its own prefix;
+* tails: in step order, each member samples and marches its few unknown
+  tail intervals from its stored prefix state, sets U and records it;
+  refines at snapshot steps re-march only the tail.
+
+Each member's march is the same sequence of RK4 intervals, on the same
+samples, as a single full march at its own step, so the block size changes
+nothing but the cost.  The history is trimmed only at block boundaries,
+which keeps the sample positions of a block on one time origin.
 
 Snapshots are emitted as triplets of consecutive steps around each stride
 multiple, giving the residual verifier central time differences at the
@@ -23,16 +41,19 @@ import numpy as np
 
 from .backstepping import forward_transform
 from .errors import BlowUpError, ConfigError
-from .grid import GridProfile, fd_x_wide
+from .grid import GridProfile, HalfGridProfile, fd_x_wide
 from .history import (ControlHistory, distributed_estimated_input,
                       distributed_true_input)
 from .kernels import KernelInputs, eval_all
 from .plants import DelayBounds, make_plant
-from .predictor import (compute_predictor, compute_transition_field,
+from .predictor import (_march, check_escape, compute_predictor,
+                        compute_transition_field,
                         predictor_spatial_derivative)
 from .schedules import make_schedule
 
 STATE_LIMIT = 1e8
+_BLOCK = 64  # steps whose predictor marches share one lockstep prefix sweep
+_TRIM_EVERY = 512  # steps between history trims; blocks end on a trim
 
 
 @dataclass
@@ -60,7 +81,33 @@ class ScenarioConfig:
         hi = 2.0 * d if self.d_upper is None else float(self.d_upper)
         return DelayBounds(d_lower=lo, d_upper=hi, true_delay=d)
 
+    def _numeric_fields(self):
+        """(file-schema key, value) of every float setting that is set."""
+        yield "dt", self.dt
+        yield "T", self.horizon
+        yield "D", self.true_delay
+        yield "margin", self.margin
+        for key, value in (("d_lower", self.d_lower),
+                           ("d_upper", self.d_upper),
+                           ("schedule.soft_width", self.soft_width)):
+            if value is not None:
+                yield key, value
+        for value in np.atleast_1d(self.X0):
+            yield "X0", value
+        for k, value in sorted(self.plant_params.items()):
+            yield f"plant.{k}", value
+        for k, value in sorted(self.schedule_params.items()):
+            yield f"schedule.{k}", value
+
     def validate(self):
+        for key, value in self._numeric_fields():
+            try:
+                finite = bool(np.isfinite(float(value)))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key} must be a number, got {value!r}") \
+                    from None
+            if not finite:
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if not self.dt > 0.0:
             raise ConfigError("dt must be positive")
         if not self.horizon >= self.dt:
@@ -176,13 +223,22 @@ def materialize_slice(model, controller, hist, t, X, true_delay,
     `breaks` lists times where the recorded signal has reduced smoothness;
     interpolation stencils are kept on one side of them.
     """
-    m = num_intervals
     X = np.atleast_1d(np.asarray(X, dtype=float))
-    uhat_p = distributed_estimated_input(hist, t, dhat, m, breaks=breaks)
+    # the estimate on the half grid: its even samples are the nodes
+    uhat_h = HalfGridProfile(distributed_estimated_input(
+        hist, t, dhat, 2 * num_intervals, breaks=breaks).values)
+    phat = compute_predictor(model, X, uhat_h, dhat)
+    return _assemble_slice(model, controller, hist, t, X, true_delay,
+                           dhat, dhat_dot, dhat_ddot, uhat_h.nodes, phat,
+                           step, breaks)
+
+
+def _assemble_slice(model, controller, hist, t, X, true_delay, dhat,
+                    dhat_dot, dhat_ddot, uhat_p, phat_p, step, breaks):
+    """The snapshot around given estimate and predictor node profiles."""
+    m = uhat_p.num_intervals
     u_p = distributed_true_input(hist, t, true_delay, m, breaks=breaks)
-    phat_p = compute_predictor(model, X, uhat_p, dhat)
-    what_p = forward_transform(controller, uhat_p, phat_p)
-    what = what_p.values
+    what = forward_transform(controller, uhat_p, phat_p).values
     utilde = u_p.values - uhat_p.values
     return SystemSnapshot(
         t=t, step=step, X=X.copy(), U=float(hist.sample_many(t)),
@@ -196,13 +252,6 @@ def materialize_slice(model, controller, hist, t, X, true_delay,
         u_x=fd_x_wide(u_p.values, m, 1),
         phat_x=predictor_spatial_derivative(model, phat_p, uhat_p, dhat).values,
     )
-
-
-def _build_snapshot(model, controller, hist, schedule, cfg, k, t, X):
-    dhat, dd, ddd = schedule.evaluate(t)
-    return materialize_slice(model, controller, hist, t, X, cfg.true_delay,
-                             dhat, dd, ddd, cfg.num_intervals, step=k,
-                             breaks=cfg.true_delay * np.arange(1.0, 7.0))
 
 
 def snapshot_field(model, snap):
@@ -228,16 +277,140 @@ def snapshot_kernels(model, controller, true_delay, snap):
     return snap.kernels
 
 
-def _control_value(model, controller, hist, X, t, dhat, m, extrapolate,
-                   breaks=None):
-    uhat_p = distributed_estimated_input(hist, t, dhat, m,
-                                         allow_tail_extrapolation=extrapolate,
-                                         breaks=breaks)
-    phat_p = compute_predictor(model, X, uhat_p, dhat)
-    value = float(controller.kappa(np.atleast_1d(phat_p.values[-1])))
+def _control_from(controller, p_end):
+    """U = kappa(p(1)), rejecting an escaped value."""
+    value = float(controller.kappa(np.atleast_1d(p_end)))
     if not np.isfinite(value) or abs(value) > STATE_LIMIT:
         raise BlowUpError(f"control value escaped ({value!r})")
     return value
+
+
+def _control_value(model, controller, hist, X, t, dhat, half_x, breaks):
+    """Control from one full predictor march on recorded samples."""
+    uhat = HalfGridProfile(hist.sample_many(t + dhat * half_x,
+                                            breaks=breaks))
+    phat = compute_predictor(model, X, uhat, dhat)
+    return _control_from(controller, phat.values[-1])
+
+
+def _stage_inputs_zero(t, dt, D):
+    """True while the whole step from t lies left of the input activation
+    at t = D: every stage then uses the zero pre-history branch, including
+    a stage landing exactly on the jump."""
+    return t + dt <= D + 1e-12 * max(1.0, D)
+
+
+def _state_step(model, X, v, dt):
+    k1 = model.f(X, v[0])
+    k2 = model.f(X + 0.5 * dt * k1, v[1])
+    k3 = model.f(X + 0.5 * dt * k2, v[1])
+    k4 = model.f(X + dt * k3, v[2])
+    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _escaped(X):
+    return not np.all(np.isfinite(X)) or np.max(np.abs(X)) > STATE_LIMIT
+
+
+def _advance_ahead(model, hist, states, k0, size, dt, D, breaks):
+    """Fill states[k0+1 .. k0+size-1] from inputs already settled.
+
+    Returns the block size to keep: it ends before the first step whose
+    delayed input is not settled yet, and at a state that escapes, which
+    the step loop then meets, in order, at the block's last step.
+    """
+    t = np.arange(k0, k0 + size - 1) * dt
+    taus = t[:, None] + np.array([0.0, 0.5 * dt, dt]) - D
+    zero = _stage_inputs_zero(t, dt, D)
+    ok = zero | hist.settled(taus).all(axis=1)
+    ahead = int(np.argmin(ok)) if not ok.all() else ok.size
+    v = hist.sample_many(taus[:ahead], breaks=breaks)
+    v[zero[:ahead]] = 0.0
+    X = states[k0]
+    for j in range(ahead):
+        X = _state_step(model, X, v[j], dt)
+        if _escaped(X):
+            return j + 1
+        states[k0 + j + 1] = X
+    return ahead + 1
+
+
+class _BlockMarches:
+    """Predictor marches of the steps k0 .. k0+size-1.
+
+    At construction the settled prefix of every member's half-grid
+    estimate is sampled in one call and marched in lockstep; `control`
+    then finishes one member's tail on the history as it stands.
+    """
+
+    def __init__(self, model, controller, hist, schedule, states, k0, size,
+                 dt, half_x, breaks):
+        self.model, self.controller, self.hist = model, controller, hist
+        self.states, self.breaks = states, breaks
+        self.k0, self.dt = k0, dt
+        self.m = (half_x.size - 1) // 2
+        self.dhat = np.array([schedule.evaluate(k * dt)[0]
+                              for k in range(k0, k0 + size)])
+        t = np.arange(k0, k0 + size) * dt
+        self.theta = t[:, None] + self.dhat[:, None] * half_x
+        # theta rises along a row and its last entry, t, is never settled
+        self.count = np.argmin(hist.settled(self.theta), axis=1)
+        self.stop = np.maximum(self.count - 1, 0) // 2
+        self.uhat = np.empty_like(self.theta)
+        known = np.arange(half_x.size) < self.count[:, None]
+        self.uhat[known] = hist.sample_many(self.theta[known], breaks=breaks)
+
+        order = np.argsort(-self.stop, kind="stable")
+        dh = self.dhat[order][:, None]
+        uh = self.uhat[order]
+
+        def rhs(ih, p):
+            rows = p.shape[0]
+            return dh[:rows] * model.f(p, uh[:rows, ih])
+
+        marched = _march(rhs, states[k0:k0 + size][order], self.m,
+                         stops=self.stop[order])
+        self.prefix = np.empty_like(marched)
+        self.prefix[:, order] = marched
+
+    def _profile(self, j, extrapolate):
+        """Member j's predictor node profile: its stored prefix, then the
+        tail marched on freshly sampled estimate values."""
+        head, stop = self.count[j], self.stop[j]
+        row = self.uhat[j]
+        row[head:] = self.hist.sample_many(
+            self.theta[j, head:], allow_tail_extrapolation=extrapolate,
+            breaks=self.breaks)
+        dhat, f = self.dhat[j], self.model.f
+
+        def rhs(ih, p):
+            return dhat * f(p, row[ih])
+
+        tail = _march(rhs, self.prefix[stop, j], self.m, start=stop)
+        return np.concatenate([self.prefix[:stop, j], tail])
+
+    def control(self, k, extrapolate):
+        """U at step k from its stored prefix and a freshly sampled tail;
+        the first call of a step (with tail extrapolation) also checks the
+        prefix, which later calls share."""
+        j = k - self.k0
+        if extrapolate:
+            check_escape(self.prefix[:self.stop[j] + 1, j], self.m)
+        tail_end = self._profile(j, extrapolate)[-1]
+        return _control_from(self.controller, tail_end)
+
+    def snapshot(self, k, schedule, true_delay):
+        """The SystemSnapshot at step k on the recorded history: the same
+        fields as `materialize_slice`, with the predictor finished from
+        the stored prefix."""
+        j = k - self.k0
+        t = k * self.dt
+        dhat, dd, ddd = schedule.evaluate(t)
+        phat = GridProfile(self._profile(j, extrapolate=False))
+        uhat = GridProfile(self.uhat[j, ::2].copy())
+        return _assemble_slice(
+            self.model, self.controller, self.hist, t, self.states[k],
+            true_delay, dhat, dd, ddd, uhat, phat, k, self.breaks)
 
 
 def run_scenario(config: ScenarioConfig, snapshot_steps=None,
@@ -272,86 +445,87 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
     for c in centers:
         emit.update((c - 1, c, c + 1))
 
-    X = np.atleast_1d(np.asarray(config.X0, dtype=float))
     hist = ControlHistory(dt, retention=2.0 * config.bounds().d_upper)
     # the recorded input is continuous but loses smoothness where the
     # start-of-history jump echoes through the loop, at multiples of the
     # true delay; keeping interpolation stencils off those points
     # preserves the cubic order of the stage inputs
     kink_times = D * np.arange(1.0, 7.0)
+    half_x = np.linspace(0.0, 1.0, 2 * m + 1) - 1.0
     states = np.empty((n_steps + 1, model.dim))
     controls = np.empty(n_steps + 1)
     times = dt * np.arange(n_steps + 1)
     snapshots = {}
+    states[0] = np.atleast_1d(np.asarray(config.X0, dtype=float))
 
-    for k in range(n_steps + 1):
-        t = k * dt
-        dhat, _, _ = schedule.evaluate(t)
-        try:
-            U = _control_value(model, controller, hist, X, t, dhat, m,
-                               extrapolate=True, breaks=kink_times)
-            hist.append(t, U)
-            if refine_all or k in emit:
-                # refine: with U(t) recorded the extrapolation is gone, so
-                # re-marching the predictor closes the loop U = kappa(p(1));
-                # the iteration contracts fast (gain ~ dt) and is only
-                # needed where snapshots assert the boundary identity
+    k0 = 0
+    while k0 <= n_steps:
+        # a block spans neither the start-up re-solve nor a history trim
+        size = 1 if k0 < 4 else min(_BLOCK, n_steps + 1 - k0,
+                                    1 + (-k0) % _TRIM_EVERY)
+        size = _advance_ahead(model, hist, states, k0, size, dt, D,
+                              kink_times)
+        marches = _BlockMarches(model, controller, hist, schedule, states,
+                                k0, size, dt, half_x, kink_times)
+        for k in range(k0, k0 + size):
+            t = k * dt
+            try:
+                U = marches.control(k, extrapolate=True)
+                hist.append(t, U)
+                if refine_all or k in emit:
+                    # refine: with U(t) recorded the extrapolation is
+                    # gone, so re-marching the predictor closes the loop
+                    # U = kappa(p(1)); the iteration contracts fast (gain
+                    # ~ dt) and is only needed where snapshots assert the
+                    # boundary identity
+                    for _ in range(6):
+                        U_new = marches.control(k, extrapolate=False)
+                        hist.replace_last(U_new)
+                        done = abs(U_new - U) <= 1e-14 * max(1.0, abs(U_new))
+                        U = U_new
+                        if done:
+                            break
+                    if k in emit:
+                        snapshots[k] = marches.snapshot(k, schedule, D)
+            except BlowUpError as exc:
+                raise BlowUpError(str(exc), time=t, x=exc.x) from None
+            controls[k] = U
+
+            if k == 3 and 3.0 * dt <= D * (1.0 + 1e-12):
+                # the first three samples were interpolated from fewer
+                # than four points; with four recorded the early values
+                # can be re-solved against full-order interpolation (the
+                # state is drift-only until t = D, so no earlier step
+                # consumed them)
                 for _ in range(6):
-                    U_new = _control_value(model, controller, hist, X, t,
-                                           dhat, m, extrapolate=False,
-                                           breaks=kink_times)
-                    hist.replace_last(U_new)
-                    done = abs(U_new - U) <= 1e-14 * max(1.0, abs(U_new))
-                    U = U_new
-                    if done:
+                    delta = 0.0
+                    for j in range(4):
+                        tj = j * dt
+                        dhat_j, _, _ = schedule.evaluate(tj)
+                        Uj = _control_value(model, controller, hist,
+                                            states[j], tj, dhat_j, half_x,
+                                            kink_times)
+                        delta = max(delta, abs(Uj - controls[j]))
+                        hist.replace_at(tj, Uj)
+                        controls[j] = Uj
+                    if delta <= 1e-13 * max(1.0, np.max(np.abs(controls[:4]))):
                         break
-                if k in emit:
-                    snapshots[k] = _build_snapshot(model, controller, hist,
-                                                   schedule, config, k, t, X)
-        except BlowUpError as exc:
-            raise BlowUpError(str(exc), time=t, x=exc.x) from None
-        states[k] = X
-        controls[k] = U
 
-        if k == 3 and 3.0 * dt <= D * (1.0 + 1e-12):
-            # the first three samples were interpolated from fewer than
-            # four points; with four recorded the early values can be
-            # re-solved against full-order interpolation (the state is
-            # drift-only until t = D, so no earlier step consumed them)
-            for _ in range(6):
-                delta = 0.0
-                for j in range(4):
-                    tj = j * dt
-                    dhat_j, _, _ = schedule.evaluate(tj)
-                    Uj = _control_value(model, controller, hist, states[j],
-                                        tj, dhat_j, m, extrapolate=False,
-                                        breaks=kink_times)
-                    delta = max(delta, abs(Uj - controls[j]))
-                    hist.replace_at(tj, Uj)
-                    controls[j] = Uj
-                if delta <= 1e-13 * max(1.0, np.max(np.abs(controls[:4]))):
-                    break
-            U = controls[k]
-
+        k = k0 + size - 1
         if k < n_steps:
+            t = k * dt
             taus = t + np.array([0.0, 0.5 * dt, dt]) - D
             v = hist.sample_many(taus, breaks=kink_times)
-            if t + dt <= D + 1e-12 * max(1.0, D):
-                # the delayed input activates at t = D with a jump; while
-                # the whole step lies left of it every stage must use the
-                # zero pre-history branch, including a stage landing
-                # exactly on the jump
+            if _stage_inputs_zero(t, dt, D):
                 v[:] = 0.0
-            k1 = model.f(X, v[0])
-            k2 = model.f(X + 0.5 * dt * k1, v[1])
-            k3 = model.f(X + 0.5 * dt * k2, v[1])
-            k4 = model.f(X + dt * k3, v[2])
-            X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > STATE_LIMIT:
+            X = _state_step(model, states[k], v, dt)
+            if _escaped(X):
                 raise BlowUpError(
                     f"state escaped at t={t + dt:.6g}", time=t + dt)
-            if k % 512 == 0:
+            states[k + 1] = X
+            if k % _TRIM_EVERY == 0:
                 hist.trim()
+        k0 = k + 1
 
     return SimulationResult(
         config=config, model=model, controller=controller,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from delaycomp import cli
+from delaycomp.errors import FutureQueryError, UsageError
 
 BASE = """
 plant = linear
@@ -211,3 +212,48 @@ def test_sweep_bad_axis_value_exit_2(tmp_path):
     code = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--set", "dt="])
     assert code == 2
+
+
+NON_FINITE = [
+    ("T", "inf"), ("X0", "nan"), ("schedule.amplitude", "nan"),
+    ("dt", "nan"), ("D", "inf"), ("d_lower", "nan"), ("d_upper", "inf"),
+    ("plant.a", "inf"), ("margin", "-inf"), ("schedule.soft_width", "nan"),
+]
+
+
+@pytest.mark.parametrize("key,value", NON_FINITE,
+                         ids=[f"{k}={v}" for k, v in NON_FINITE])
+def test_non_finite_setting_exit_2(tmp_path, capsys, key, value):
+    # a later line overrides the base scenario's value of the key
+    cfg = write_cfg(tmp_path, BASE + f"{key} = {value}\n")
+    code = cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{key} must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_bad_ladder_rung_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, EQUILIBRIUM)
+    code = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v"),
+                     "--ladder", "16,x:0.1,64"])
+    assert code == 2
+    assert "ladder rung" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,code", [
+    (UsageError("malformed call"), 2),
+    (FutureQueryError("requested t beyond newest sample"), 4),
+], ids=["usage", "future-query"])
+def test_package_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch,
+                                          error, code):
+    def broken(cfg):
+        raise error
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    cfg = write_cfg(tmp_path, BASE)
+    assert cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert str(error) in err
+    assert "Traceback" not in err

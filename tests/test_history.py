@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaycomp import ControlHistory, distributed_estimated_input, \
     distributed_true_input, sample_control
@@ -110,3 +112,54 @@ def test_distributed_estimated_input_accepts_schedule():
     a = distributed_estimated_input(hist, 2.5, sched, 64)
     b = distributed_estimated_input(hist, 2.5, 0.45, 64)
     assert np.array_equal(a.values, b.values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       start=st.integers(4, 80),
+       blocks=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       kinks=st.lists(st.integers(1, 150), max_size=4),
+       off_grid=st.floats(0.1, 0.9))
+def test_settled_samples_do_not_change_within_a_block(seed, start, blocks,
+                                                      kinks, off_grid):
+    # the step loop's protocol: at each block start (after a trim) sample
+    # the settled times once; every later step of the block appends its
+    # sample and may replace it, and must read the same values there
+    dt = 0.01
+    rng = np.random.default_rng(seed)
+    breaks = [k * dt for k in kinks] + [(kinks[0] + off_grid) * dt] \
+        if kinks else None
+    hist = ControlHistory(dt, retention=0.3)
+    step = 0
+    for _ in range(start):
+        hist.append(step * dt, rng.uniform(-1.0, 1.0))
+        step += 1
+    for size in blocks:
+        hist.trim()
+        thetas = hist.t_now + rng.uniform(-0.5, 1.5 * dt, size=64)
+        mask = hist.settled(thetas)
+        if hist.num_samples >= 4:
+            # everything at least three steps back is settled
+            assert np.all(mask[thetas <= hist.t_now - 3.0 * dt])
+        assert not np.any(mask[thetas > hist.t_now])
+        first = hist.sample_many(thetas[mask], breaks=breaks)
+        for _ in range(size):
+            hist.append(step * dt, rng.uniform(-1.0, 1.0))
+            step += 1
+            for extrapolate in (True, False):
+                assert np.array_equal(
+                    hist.sample_many(thetas[mask], extrapolate,
+                                     breaks=breaks), first)
+            hist.replace_last(rng.uniform(-1.0, 1.0))
+            assert np.array_equal(
+                hist.sample_many(thetas[mask], breaks=breaks), first)
+
+
+def test_nothing_settled_before_four_samples():
+    hist = ControlHistory(0.1)
+    for k in range(3):
+        hist.append(0.1 * k, 1.0)
+        assert not np.any(hist.settled(np.array([-1.0, 0.0, 0.1 * k])))
+    hist.append(0.3, 1.0)
+    assert np.array_equal(hist.settled(np.array([-1.0, 0.0, 0.05, 0.1])),
+                          [True, True, True, False])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,17 @@ from delaycomp import GridProfile, compute_predictor, \
     transition_between
 from delaycomp.errors import BlowUpError, IllConditionedTransitionError, \
     UsageError
-from delaycomp.predictor import TransitionField
+from delaycomp.grid import HalfGridProfile
+from delaycomp.predictor import TransitionField, _half_grid_values, _march
 
 
 def constant_profile(value, m=100):
-    return GridProfile(np.full(m + 1, float(value)))
+    return HalfGridProfile(np.full(2 * m + 1, float(value)))
+
+
+def half_grid_samples(fn, m):
+    """Samples of fn at the nodes and midpoints of the M-interval grid."""
+    return HalfGridProfile(fn(np.linspace(0.0, 1.0, 2 * m + 1)))
 
 
 def test_linear_predictor_closed_form():
@@ -29,7 +37,7 @@ def test_integrator_predictor_accumulates_input():
     bundle = make_plant("integrator")
     m, dhat = 100, 0.6
     x = grid_nodes(m)
-    uhat = GridProfile(x ** 2)
+    uhat = half_grid_samples(lambda s: s ** 2, m)
     phat = compute_predictor(bundle.model, [0.5], uhat, dhat)
     exact = 0.5 + dhat * x ** 3 / 3.0
     assert np.max(np.abs(phat.values[:, 0] - exact)) < 1e-12
@@ -37,10 +45,10 @@ def test_integrator_predictor_accumulates_input():
 
 def test_predictor_spatial_derivative_is_marched_equation():
     bundle = make_plant("cubic")
-    uhat = GridProfile(0.3 * np.sin(2.0 * grid_nodes(64)))
+    uhat = half_grid_samples(lambda s: 0.3 * np.sin(2.0 * s), 64)
     phat = compute_predictor(bundle.model, [0.7], uhat, 0.5)
-    px = predictor_spatial_derivative(bundle.model, phat, uhat, 0.5)
-    expect = 0.5 * (-phat.values[:, 0] ** 3 + uhat.values)
+    px = predictor_spatial_derivative(bundle.model, phat, uhat.nodes, 0.5)
+    expect = 0.5 * (-phat.values[:, 0] ** 3 + uhat.nodes.values)
     assert np.allclose(px.values[:, 0], expect, atol=1e-14)
 
 
@@ -52,8 +60,68 @@ def test_predictor_rejects_nonpositive_delay():
 
 def test_predictor_blowup_detected():
     bundle = make_plant("linear", a=50.0, b=1.0, k=2.0)
-    with pytest.raises(BlowUpError):
+    with pytest.raises(BlowUpError) as exc:
         compute_predictor(bundle.model, [1e7], constant_profile(0.0), 1.0)
+    # p = 1e7 exp(50 x) first exceeds the limit 1e8 at the node x = 0.05
+    assert exc.value.x == pytest.approx(0.05)
+    assert "x=0.0500" in str(exc.value)
+
+
+def test_diverging_march_raises_without_runtime_warnings():
+    bundle = make_plant("cubic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as exc:
+            compute_predictor(bundle.model, [1e7], constant_profile(0.0),
+                              1.0)
+    assert exc.value.x == pytest.approx(0.01)
+
+
+def test_node_profile_gets_spline_midpoints():
+    bundle = make_plant("cubic")
+    nodes = GridProfile(0.3 * np.sin(2.0 * grid_nodes(40)))
+    from_nodes = compute_predictor(bundle.model, [0.7], nodes, 0.5)
+    from_half = compute_predictor(
+        bundle.model, [0.7], HalfGridProfile(_half_grid_values(nodes)), 0.5)
+    assert np.array_equal(from_nodes.values, from_half.values)
+
+
+def test_half_grid_profile_shape_checks():
+    with pytest.raises(UsageError):
+        HalfGridProfile(np.zeros(40))
+    with pytest.raises(UsageError):
+        HalfGridProfile(np.zeros(15))
+    prof = HalfGridProfile(np.arange(33.0))
+    assert prof.num_intervals == 16
+    assert np.array_equal(prof.nodes.values, np.arange(0.0, 33.0, 2.0))
+
+
+def test_lockstep_march_matches_single_marches():
+    # members stop at their own node, then a restart from that node
+    # finishes the march: both pieces repeat a single full march exactly
+    bundle = make_plant("cubic")
+    m = 32
+    rng = np.random.default_rng(3)
+    uh = rng.uniform(-0.5, 0.5, size=(4, 2 * m + 1))
+    dh = rng.uniform(0.3, 0.7, size=(4, 1))
+    X = rng.uniform(-1.0, 1.0, size=(4, 1))
+    stops = np.array([30, 17, 17, 0])
+
+    def lockstep(ih, p):
+        rows = p.shape[0]
+        return dh[:rows] * bundle.model.f(p, uh[:rows, ih])
+
+    head = _march(lockstep, X, m, stops=stops)
+    for k in range(4):
+        full = compute_predictor(bundle.model, X[k],
+                                 HalfGridProfile(uh[k]), dh[k, 0]).values
+        assert np.array_equal(head[:stops[k] + 1, k], full[:stops[k] + 1])
+
+        def single(ih, p):
+            return dh[k, 0] * bundle.model.f(p, uh[k, ih])
+
+        tail = _march(single, head[stops[k], k], m, start=stops[k])
+        assert np.array_equal(tail, full[stops[k]:])
 
 
 def test_transition_field_linear_exponential():
@@ -62,7 +130,7 @@ def test_transition_field_linear_exponential():
     m, dhat = 100, 0.45
     uhat = constant_profile(0.2, m)
     phat = compute_predictor(bundle.model, [0.5], uhat, dhat)
-    fld = compute_transition_field(bundle.model, phat, uhat, dhat)
+    fld = compute_transition_field(bundle.model, phat, uhat.nodes, dhat)
     x = grid_nodes(m)
     assert np.max(np.abs(fld.matrices[:, 0, 0] - np.exp(a * dhat * x))) < 1e-10
 
@@ -70,10 +138,9 @@ def test_transition_field_linear_exponential():
 def test_transition_semigroup_composition():
     bundle = make_plant("double_integrator")
     m = 64
-    x = grid_nodes(m)
-    uhat = GridProfile(0.4 * np.cos(1.5 * x))
+    uhat = half_grid_samples(lambda s: 0.4 * np.cos(1.5 * s), m)
     phat = compute_predictor(bundle.model, [0.3, -0.2], uhat, 0.5)
-    fld = compute_transition_field(bundle.model, phat, uhat, 0.5)
+    fld = compute_transition_field(bundle.model, phat, uhat.nodes, 0.5)
     lhs = transition_between(fld, 50, 20)
     rhs = transition_between(fld, 50, 35) @ transition_between(fld, 35, 20)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -92,8 +159,9 @@ def test_forcing_integral_matches_direct_quadrature():
     bundle = make_plant("integrator")
     m, dhat = 100, 0.6
     x = grid_nodes(m)
-    uhat = GridProfile(0.3 * np.sin(2.0 * x) + 0.1)
-    phat = compute_predictor(bundle.model, [0.5], uhat, dhat)
+    uhat_h = half_grid_samples(lambda s: 0.3 * np.sin(2.0 * s) + 0.1, m)
+    uhat = uhat_h.nodes
+    phat = compute_predictor(bundle.model, [0.5], uhat_h, dhat)
     what_x = GridProfile(0.2 * np.cos(x))
     fld = compute_transition_field(bundle.model, phat, uhat, dhat)
     I = forcing_integral(bundle.model, bundle.controller, phat, uhat,
@@ -112,8 +180,9 @@ def test_time_derivative_reduces_to_transport_without_forcing():
     bundle = make_plant("cubic")
     m, dhat = 100, 0.5
     x = grid_nodes(m)
-    uhat = GridProfile(0.25 * np.sin(1.7 * x))
-    phat = compute_predictor(bundle.model, [0.6], uhat, dhat)
+    uhat_h = half_grid_samples(lambda s: 0.25 * np.sin(1.7 * s), m)
+    uhat = uhat_h.nodes
+    phat = compute_predictor(bundle.model, [0.6], uhat_h, dhat)
     what_x = GridProfile(0.1 * np.cos(x))
     fld = compute_transition_field(bundle.model, phat, uhat, dhat)
     pt = compute_predictor_time_derivative(

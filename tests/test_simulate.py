@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from delaycomp import ScenarioConfig, run_scenario
+from delaycomp import ScenarioConfig, run_scenario, simulate
 from delaycomp.errors import BlowUpError, ConfigError
 
 
@@ -80,13 +82,93 @@ def test_snapshot_steps_out_of_range():
         run_scenario(linear_config(), snapshot_steps=[10 ** 6])
 
 
-def test_unstable_loop_raises_blowup_with_time():
+def test_unstable_loop_raises_blowup_with_time(monkeypatch):
     cfg = linear_config(plant_params=dict(a=1.0, b=1.0, k=0.0),
                         X0=(2.0,), horizon=25.0, dt=5e-3, stride=10 ** 6)
-    with pytest.raises(BlowUpError) as exc:
-        run_scenario(cfg)
-    assert exc.value.time is not None
-    assert 10.0 < exc.value.time < 25.0
+    failures = []
+    for block in (simulate._BLOCK, 1):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        with pytest.raises(BlowUpError) as exc:
+            run_scenario(cfg)
+        failures.append((exc.value.time, exc.value.x, str(exc.value)))
+    assert failures[0][0] is not None
+    assert 10.0 < failures[0][0] < 25.0
+    # the block size changes where the work happens, not where it fails
+    assert failures[0] == failures[1]
+
+
+SNAPSHOT_ARRAYS = [f.name for f in dataclasses.fields(simulate.SystemSnapshot)
+                   if f.name not in ("field", "kernels")]
+
+
+def _block_pair(monkeypatch, cfg, **kw):
+    assert simulate._BLOCK == 64
+    runs = []
+    for block in (64, 1):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        runs.append(run_scenario(cfg, **kw))
+    assert runs[0].centers
+    assert sorted(runs[0].snapshots) == sorted(runs[1].snapshots)
+    return runs
+
+
+# D/dt = 125 lets blocks reach 64 steps; 600 steps cross the history trim
+# at step 512; the short delay caps blocks at a few steps
+BLOCK_CASES = {
+    "integrator": (dict(plant="integrator", plant_params={}), {}),
+    "linear": ({}, {}),
+    "cubic": (dict(plant="cubic", plant_params={}, X0=(1.5,)), {}),
+    "cubic-refine-all": (dict(plant="cubic", plant_params={}, X0=(1.2,),
+                              schedule_kind="ramp",
+                              schedule_params=dict(base=0.45, rate=0.02),
+                              horizon=1.2),
+                         dict(refine_all=True)),
+    "linear-short-delay": (dict(true_delay=0.05, d_lower=0.03, d_upper=0.1,
+                                schedule_params=dict(base=0.05,
+                                                     amplitude=0.02,
+                                                     omega=3.0)), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_size_is_invisible_on_scalar_plants(monkeypatch, case):
+    settings, run_kw = BLOCK_CASES[case]
+    kw = dict(schedule_kind="sinusoid",
+              schedule_params=dict(base=0.5, amplitude=0.1, omega=1.0),
+              num_intervals=16, dt=4e-3, horizon=2.4, stride=40)
+    kw.update(settings)
+    blocked, single = _block_pair(monkeypatch, linear_config(**kw), **run_kw)
+    for name in ("times", "states", "controls"):
+        assert np.array_equal(getattr(blocked, name), getattr(single, name))
+    for k, snap in blocked.snapshots.items():
+        for name in SNAPSHOT_ARRAYS:
+            assert np.array_equal(getattr(snap, name),
+                                  getattr(single.snapshots[k], name)), \
+                (k, name)
+
+
+def test_block_size_on_double_integrator_within_roundoff(monkeypatch):
+    cfg = linear_config(plant="double_integrator", plant_params={},
+                        X0=(0.5, -0.3), schedule_kind="sinusoid",
+                        schedule_params=dict(base=0.5, amplitude=0.1,
+                                             omega=1.0),
+                        num_intervals=16, dt=4e-3, horizon=2.4, stride=40)
+    blocked, single = _block_pair(monkeypatch, cfg)
+
+    def rel(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        scale = np.maximum(np.abs(a), np.abs(b))
+        out = np.divide(np.abs(a - b), scale, out=np.zeros(scale.shape),
+                        where=scale > 0.0)
+        return float(np.max(out, initial=0.0))
+
+    worst = max(rel(blocked.states, single.states),
+                rel(blocked.controls, single.controls))
+    for k, snap in blocked.snapshots.items():
+        for name in SNAPSHOT_ARRAYS:
+            worst = max(worst, rel(getattr(snap, name),
+                                   getattr(single.snapshots[k], name)))
+    assert worst <= 1e-12
 
 
 def test_runs_are_deterministic():
@@ -99,3 +181,33 @@ def test_runs_are_deterministic():
     assert np.array_equal(r1.controls, r2.controls)
     key = min(r1.snapshots)
     assert np.array_equal(r1.snapshots[key].what_xx, r2.snapshots[key].what_xx)
+
+
+@pytest.mark.parametrize("plant,X0", [("cubic", (1.2,)),
+                                      ("double_integrator", (0.5, -0.3))])
+def test_loop_snapshots_equal_materialize_slice(monkeypatch, plant, X0):
+    # the step loop finishes snapshot predictors from the block's stored
+    # prefix; a fresh full march on the same history must agree exactly
+    built = simulate._BlockMarches.snapshot
+    checked = []
+
+    def snapshot(self, k, schedule, true_delay):
+        snap = built(self, k, schedule, true_delay)
+        ref = simulate.materialize_slice(
+            self.model, self.controller, self.hist, snap.t, snap.X,
+            true_delay, snap.dhat, snap.dhat_dot, snap.dhat_ddot,
+            snap.num_intervals, step=k, breaks=self.breaks)
+        for name in SNAPSHOT_ARRAYS:
+            assert np.array_equal(getattr(snap, name), getattr(ref, name)), \
+                (k, name)
+        checked.append(k)
+        return snap
+
+    monkeypatch.setattr(simulate._BlockMarches, "snapshot", snapshot)
+    run_scenario(linear_config(plant=plant, plant_params={}, X0=X0,
+                               schedule_kind="sinusoid",
+                               schedule_params=dict(base=0.5, amplitude=0.1,
+                                                    omega=1.0),
+                               num_intervals=16, dt=4e-3, horizon=2.4,
+                               stride=40))
+    assert len(checked) == 3 * 14
