@@ -210,17 +210,15 @@ def sample_control(history, theta):
     return history.sample_many(float(theta))
 
 
-def distributed_true_input(history, t, delay, num_intervals,
-                           allow_tail_extrapolation=False, breaks=None):
+def distributed_true_input(history, t, delay, num_intervals, *, breaks=None):
     """Actuator field u(x, t) = U(t + D (x - 1)) on the grid."""
     x = grid_nodes(num_intervals)
     th = t + float(delay) * (x - 1.0)
-    return GridProfile(history.sample_many(th, allow_tail_extrapolation,
-                                           breaks=breaks))
+    return GridProfile(history.sample_many(th, breaks=breaks))
 
 
-def distributed_estimated_input(history, t, dhat, num_intervals,
-                                allow_tail_extrapolation=False, breaks=None):
+def distributed_estimated_input(history, t, dhat, num_intervals, *,
+                                breaks=None):
     """Estimated actuator field built with the delay estimate in place of D.
 
     `dhat` may be a scalar or a DelaySchedule (evaluated at t).
@@ -228,4 +226,4 @@ def distributed_estimated_input(history, t, dhat, num_intervals,
     if hasattr(dhat, "evaluate"):
         dhat = dhat.evaluate(t)[0]
     return distributed_true_input(history, t, dhat, num_intervals,
-                                  allow_tail_extrapolation, breaks=breaks)
+                                  breaks=breaks)
