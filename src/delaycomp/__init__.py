@@ -7,27 +7,23 @@ certifies the resulting transport systems by finite-difference residual
 convergence on closed-loop simulations.
 """
 
-from .backstepping import boundary_check, forward_transform, inverse_transform
+from .backstepping import forward_transform, inverse_transform
 from .config import (apply_override, config_to_dict, load_config,
                      parse_config_text)
 from .errors import (BlowUpError, ConfigError, DelaycompError,
                      FutureQueryError, GridMismatchError,
                      IllConditionedTransitionError, UsageError)
-from .grid import (GridProfile, HalfGridProfile, estimation_error_profile,
-                   fd_x_wide, grid_nodes, spatial_derivative)
+from .grid import GridProfile, HalfGridProfile, fd_x_wide, grid_nodes
 from .history import (ControlHistory, distributed_estimated_input,
-                      distributed_true_input, sample_control)
-from .kernels import (KernelInputs, KernelSet, eval_all,
-                      eval_derivative_kernels, eval_first_order_kernels,
-                      eval_q1_t, eval_q7, eval_uhat_time_derivatives)
+                      distributed_true_input)
+from .kernels import KernelSet, eval_all
 from .plants import (Controller, DelayBounds, LyapunovCertificate,
                      PlantBundle, PlantModel, check_derivative_consistency,
                      check_lyapunov, make_cubic, make_double_integrator,
                      make_integrator, make_linear, make_plant)
 from .predictor import (TransitionField, compute_predictor,
-                        compute_predictor_time_derivative,
                         compute_transition_field, forcing_integral,
-                        predictor_spatial_derivative, transition_between)
+                        predictor_spatial_derivative)
 from .residuals import (ResidualReport, convergence_study,
                         evaluate_snapshot_residuals,
                         residual_derivative_systems, residual_state_equation,
@@ -35,8 +31,8 @@ from .residuals import (ResidualReport, convergence_study,
                         residual_w_system)
 from .schedules import DelaySchedule, make_schedule, relative_mismatch
 from .simulate import (ScenarioConfig, SimulationResult, SystemSnapshot,
-                       eval_delay_schedule, materialize_slice, run_scenario,
-                       snapshot_field, snapshot_kernels)
+                       materialize_slice, run_scenario, snapshot_field,
+                       snapshot_kernels)
 
 __version__ = "0.1.0"
 
@@ -44,27 +40,20 @@ __all__ = [
     "BlowUpError", "ConfigError", "ControlHistory", "Controller",
     "DelayBounds", "DelaySchedule", "DelaycompError", "FutureQueryError",
     "GridMismatchError", "GridProfile", "HalfGridProfile",
-    "IllConditionedTransitionError",
-    "KernelInputs", "KernelSet", "LyapunovCertificate", "PlantBundle",
-    "PlantModel", "ResidualReport", "ScenarioConfig", "SimulationResult",
-    "SystemSnapshot", "TransitionField", "UsageError", "apply_override",
-    "boundary_check",
-    "check_derivative_consistency", "check_lyapunov", "config_to_dict",
-    "compute_predictor", "compute_predictor_time_derivative",
-    "compute_transition_field", "convergence_study",
-    "distributed_estimated_input", "distributed_true_input",
-    "estimation_error_profile", "eval_all", "eval_delay_schedule",
-    "eval_derivative_kernels", "eval_first_order_kernels", "eval_q1_t",
-    "eval_q7", "eval_uhat_time_derivatives", "evaluate_snapshot_residuals",
+    "IllConditionedTransitionError", "KernelSet", "LyapunovCertificate",
+    "PlantBundle", "PlantModel", "ResidualReport", "ScenarioConfig",
+    "SimulationResult", "SystemSnapshot", "TransitionField", "UsageError",
+    "apply_override", "check_derivative_consistency", "check_lyapunov",
+    "compute_predictor", "compute_transition_field", "config_to_dict",
+    "convergence_study", "distributed_estimated_input",
+    "distributed_true_input", "eval_all", "evaluate_snapshot_residuals",
     "fd_x_wide", "forcing_integral", "forward_transform", "grid_nodes",
     "inverse_transform", "load_config", "make_cubic",
-    "make_double_integrator",
-    "make_integrator", "make_linear", "make_plant", "make_schedule",
-    "materialize_slice", "parse_config_text",
+    "make_double_integrator", "make_integrator", "make_linear",
+    "make_plant", "make_schedule", "materialize_slice", "parse_config_text",
     "predictor_spatial_derivative", "relative_mismatch",
     "residual_derivative_systems", "residual_state_equation",
     "residual_transport_systems", "residual_utilde_system",
-    "residual_w_system", "run_scenario", "sample_control",
-    "snapshot_field", "snapshot_kernels", "spatial_derivative",
-    "transition_between",
+    "residual_w_system", "run_scenario", "snapshot_field",
+    "snapshot_kernels",
 ]

@@ -38,11 +38,14 @@ EXIT_VERIFY = 5
 ENV_OUT_ROOT = "DELAYCOMP_OUT_ROOT"
 
 
-def _out_dir(args, sub):
+def _out_path(args, sub):
     if args.out:
-        path = args.out
-    else:
-        path = os.path.join(os.environ.get(ENV_OUT_ROOT, "runs"), sub)
+        return args.out
+    return os.path.join(os.environ.get(ENV_OUT_ROOT, "runs"), sub)
+
+
+def _out_dir(args, sub):
+    path = _out_path(args, sub)
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -140,11 +143,11 @@ def _sweep_cell(payload):
     cfg, cell_dir, overrides = payload
     started = time.perf_counter()
     os.makedirs(cell_dir, exist_ok=True)
+    extra = {"overrides": overrides}
     try:
         result = run_scenario(cfg)
         header, rows = trajectory_rows(result)
         write_csv(os.path.join(cell_dir, "trajectory.csv"), header, rows)
-        final_norm = float(np.max(np.abs(result.states[-1])))
         start = analysis_window_start(cfg, result.schedule)
         max_res = 0.0
         for c in result.centers:
@@ -153,28 +156,21 @@ def _sweep_cell(payload):
             res = evaluate_snapshot_residuals(result, c)
             for val in res.values():
                 max_res = max(max_res, float(np.max(np.abs(val))))
-        write_json(os.path.join(cell_dir, "manifest.json"),
-                   _manifest(cfg, "ok", time.perf_counter() - started,
-                             {"overrides": overrides,
-                              "final_norm": final_norm,
-                              "max_residual": max_res}))
-        return {"status": "ok", "code": EXIT_OK,
-                "final_norm": final_norm, "max_residual": max_res}
+        status, code = "ok", EXIT_OK
+        extra["final_norm"] = float(np.max(np.abs(result.states[-1])))
+        extra["max_residual"] = max_res
     except BlowUpError as exc:
-        write_json(os.path.join(cell_dir, "manifest.json"),
-                   _manifest(cfg, "blow-up", time.perf_counter() - started,
-                             {"overrides": overrides,
-                              "failure_time": exc.time,
-                              "failure": str(exc)}))
-        return {"status": "blow-up", "code": EXIT_BLOWUP,
-                "final_norm": float("nan"), "max_residual": float("nan")}
+        status, code = "blow-up", EXIT_BLOWUP
+        extra.update(failure_time=exc.time, failure=str(exc))
     except (IllConditionedTransitionError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
-        write_json(os.path.join(cell_dir, "manifest.json"),
-                   _manifest(cfg, "numeric", time.perf_counter() - started,
-                             {"overrides": overrides, "failure": str(exc)}))
-        return {"status": "numeric", "code": EXIT_NUMERIC,
-                "final_norm": float("nan"), "max_residual": float("nan")}
+        status, code = "numeric", EXIT_NUMERIC
+        extra["failure"] = str(exc)
+    write_json(os.path.join(cell_dir, "manifest.json"),
+               _manifest(cfg, status, time.perf_counter() - started, extra))
+    return {"status": status, "code": code,
+            "final_norm": extra.get("final_norm", float("nan")),
+            "max_residual": extra.get("max_residual", float("nan"))}
 
 
 def cmd_sweep(args):
@@ -190,18 +186,25 @@ def cmd_sweep(args):
         axes.append((key.strip(), values))
     if not axes:
         raise ConfigError("sweep needs at least one --set axis")
-    out = _out_dir(args, "sweep")
+    out = _out_path(args, "sweep")
+    root = os.path.realpath(out)
 
+    # every cell is checked before any directory is made
     cells = []
     for combo in itertools.product(*(vals for _, vals in axes)):
         overrides = {key: val for (key, _), val in zip(axes, combo)}
         cfg = base
         for key, val in overrides.items():
             cfg = apply_override(cfg, key, val)
-        cfg.validate()
+        cfg.build()
         name = "cell_" + "_".join(
             f"{k.replace('.', '-')}-{v}" for k, v in overrides.items())
-        cells.append((cfg, os.path.join(out, name), overrides, name))
+        cell_dir = os.path.join(out, name)
+        if os.path.dirname(os.path.realpath(cell_dir)) != root:
+            raise ConfigError(
+                f"sweep cell {name!r} would leave the output root {out}")
+        cells.append((cfg, cell_dir, overrides, name))
+    os.makedirs(out, exist_ok=True)
 
     payloads = [(cfg, d, ov) for cfg, d, ov, _ in cells]
     if args.workers and args.workers > 1:

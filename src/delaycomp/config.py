@@ -9,6 +9,8 @@ back to a default.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import ConfigError
 from .simulate import ScenarioConfig
 
@@ -25,12 +27,34 @@ _SCALAR_KEYS = {
 }
 
 
+def _assign(cfg, key, value):
+    """Set schema key `key` on `cfg` from its value (text or number).
+
+    Returns False for a key outside the schema; a bad value raises
+    ValueError.
+    """
+    if key == "plant":
+        cfg.plant = str(value)
+    elif key == "schedule":
+        cfg.schedule_kind = str(value)
+    elif key == "X0":
+        cfg.X0 = tuple(float(p) for p in str(value).split(","))
+    elif key in _SCALAR_KEYS:
+        name, conv = _SCALAR_KEYS[key]
+        setattr(cfg, name, conv(value))
+    elif key.startswith("plant."):
+        cfg.plant_params[key[len("plant."):]] = float(value)
+    elif key.startswith("schedule."):
+        cfg.schedule_params[key[len("schedule."):]] = float(value)
+    else:
+        return False
+    return True
+
+
 def parse_config_text(text):
     """Parse the documented flat schema into a ScenarioConfig (unvalidated
     beyond syntax; `ScenarioConfig.build` applies the semantic checks)."""
-    fields = {}
-    plant_params = {}
-    schedule_params = {}
+    cfg = ScenarioConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -41,30 +65,14 @@ def parse_config_text(text):
         key = key.strip()
         value = value.strip()
         try:
-            if key == "plant":
-                fields["plant"] = value
-            elif key == "schedule":
-                fields["schedule_kind"] = value
-            elif key == "X0":
-                fields["X0"] = tuple(float(p) for p in value.split(","))
-            elif key in _SCALAR_KEYS:
-                name, conv = _SCALAR_KEYS[key]
-                fields[name] = conv(value)
-            elif key.startswith("plant."):
-                plant_params[key[len("plant."):]] = float(value)
-            elif key.startswith("schedule."):
-                schedule_params[key[len("schedule."):]] = float(value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            known = _assign(cfg, key, value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value for key {key!r}: {value!r}"
             ) from None
-    if plant_params:
-        fields["plant_params"] = plant_params
-    if schedule_params:
-        fields["schedule_params"] = schedule_params
-    return ScenarioConfig(**fields)
+        if not known:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    return cfg
 
 
 def load_config(path):
@@ -103,26 +111,13 @@ def config_to_dict(cfg: ScenarioConfig):
 
 def apply_override(cfg: ScenarioConfig, key, value):
     """Set one schema key on a copy of the config (sweep cells)."""
-    base = ScenarioConfig(**vars(cfg))
-    base.plant_params = dict(cfg.plant_params)
-    base.schedule_params = dict(cfg.schedule_params)
+    base = replace(cfg, plant_params=dict(cfg.plant_params),
+                   schedule_params=dict(cfg.schedule_params))
     try:
-        if key == "plant":
-            base.plant = str(value)
-        elif key == "schedule":
-            base.schedule_kind = str(value)
-        elif key == "X0":
-            base.X0 = tuple(float(p) for p in str(value).split(","))
-        elif key in _SCALAR_KEYS:
-            name, conv = _SCALAR_KEYS[key]
-            setattr(base, name, conv(value))
-        elif key.startswith("plant."):
-            base.plant_params[key[len("plant."):]] = float(value)
-        elif key.startswith("schedule."):
-            base.schedule_params[key[len("schedule."):]] = float(value)
-        else:
-            raise ConfigError(f"unknown override key {key!r}")
+        known = _assign(base, key, value)
     except ValueError:
         raise ConfigError(
             f"bad override value for key {key!r}: {value!r}") from None
+    if not known:
+        raise ConfigError(f"unknown override key {key!r}")
     return base

@@ -14,28 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import GridMismatchError, UsageError
+from .errors import UsageError
 
 MIN_INTERVALS = 8
 
 
 def grid_nodes(num_intervals):
     return np.linspace(0.0, 1.0, num_intervals + 1)
-
-
-def fd_x(values, num_intervals):
-    """Second-order spatial derivative of node values along axis 0.
-
-    Central differences in the interior, one-sided three-point stencils at
-    both boundaries (also second order).
-    """
-    v = np.asarray(values, dtype=float)
-    m = float(num_intervals)
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) * (m / 2.0)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) * (m / 2.0)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) * (m / 2.0)
-    return d
 
 
 @dataclass
@@ -61,17 +46,9 @@ class GridProfile:
     def x(self):
         return grid_nodes(self.num_intervals)
 
-    @property
-    def arity(self):
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
     def interpolant(self):
         """Cubic spline through the node values (vector-valued along axis 0)."""
         return CubicSpline(self.x, self.values, axis=0)
-
-    def same_grid(self, other):
-        return (self.num_intervals == other.num_intervals
-                and self.values.shape[1:] == other.values.shape[1:])
 
 
 @dataclass
@@ -105,11 +82,6 @@ class HalfGridProfile:
         return GridProfile(self.values[::2].copy())
 
 
-def spatial_derivative(profile):
-    """Second-order finite-difference x-derivative of a profile."""
-    return GridProfile(fd_x(profile.values, profile.num_intervals))
-
-
 # five-point stencil coefficients: {order: (interior, edge0, edge1)}; the
 # right-edge rows are the mirrors (reversed, negated for odd orders)
 _WIDE = {
@@ -128,9 +100,10 @@ _WIDE = {
 def fd_x_wide(values, num_intervals, order):
     """Five-point finite-difference x-derivative of node values, axis 0.
 
-    Unlike iterating `fd_x`, a single wide stencil per derivative order
-    keeps the boundary rows at the same accuracy class as the interior,
-    which the boundary-identity checks of the derivative systems need.
+    A single wide stencil per derivative order, rather than an iterated
+    first derivative, keeps the boundary rows at the same accuracy class
+    as the interior, which the boundary-identity checks of the derivative
+    systems need.
     Supports order 1, 2, and 3.
     """
     v = np.asarray(values, dtype=float)
@@ -151,10 +124,3 @@ def fd_x_wide(values, num_intervals, order):
     d[-1] = sign * np.tensordot(c0[::-1], tail, axes=(0, 0)) * scale
     return d
 
-
-def estimation_error_profile(u, uhat):
-    """Nodewise difference between the true and estimated actuator fields."""
-    if not u.same_grid(uhat):
-        raise GridMismatchError(
-            f"profiles disagree: {u.values.shape} vs {uhat.values.shape}")
-    return GridProfile(u.values - uhat.values)

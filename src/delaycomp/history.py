@@ -205,11 +205,6 @@ class ControlHistory:
         return float(out[0]) if scalar else out
 
 
-def sample_control(history, theta):
-    """U(theta) for a past time; zero before the recording started."""
-    return history.sample_many(float(theta))
-
-
 def distributed_true_input(history, t, delay, num_intervals, *, breaks=None):
     """Actuator field u(x, t) = U(t + D (x - 1)) on the grid."""
     x = grid_nodes(num_intervals)

@@ -1,10 +1,16 @@
 """Kernel functions of the transformed transport systems.
 
-Everything here is algebra on one time slice: given the distributed fields,
-the transition matrices, and the delay-estimate rates, evaluate the source
-kernels of the error-transport equation (p1..p4), of the transformed-state
-equation (q1..q7), and the auxiliary analytic time derivatives (uhat_t,
-uhat_xt, phat_t, q1_t).
+Everything here is algebra on one time slice: given a snapshot's
+distributed fields, its transition matrices and the delay-estimate rates,
+`eval_all` evaluates the source kernels of the error-transport equation
+(p1..p4), of the transformed-state equation (q1..q7), and the auxiliary
+analytic time derivatives (uhat_t, uhat_xt, phat_t, q1_t).
+
+The work is one pass.  `_Workspace` calls each plant and controller
+callback once, as one array call over the M+1 grid nodes, and derives
+from those arrays every shared intermediate of the three groups (first
+order, x-derivatives, time derivatives); `eval_all` then assembles each
+kernel from the workspace, so every quantity is computed in one place.
 
 Conventions, used consistently below:
 
@@ -26,140 +32,86 @@ Conventions, used consistently below:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .errors import UsageError
 from .grid import grid_nodes
 
 
 @dataclass
-class KernelInputs:
-    """One time slice of the closed-loop system, ready for kernel algebra.
-
-    Profiles are plain arrays on the common grid; `phat` is (M+1, n), the
-    scalar fields are (M+1,).  `field` is the TransitionField at the same
-    instant.
-    """
-
-    model: object
-    controller: object
-    true_delay: float
-    dhat: float
-    dhat_dot: float
-    dhat_ddot: float
-    X: np.ndarray
-    u: np.ndarray
-    uhat: np.ndarray
-    utilde: np.ndarray
-    phat: np.ndarray
-    what: np.ndarray
-    what_x: np.ndarray
-    what_xx: np.ndarray
-    what_xxx: np.ndarray
-    utilde_x: np.ndarray
-    u_x: np.ndarray
-    field: object
-
-    @property
-    def num_intervals(self):
-        return self.u.shape[0] - 1
-
-
-@dataclass
 class KernelSet:
-    """All kernels of one snapshot; later groups are None until evaluated."""
+    """All kernels of one snapshot."""
 
-    p1: np.ndarray = None
-    p2: np.ndarray = None
-    q1: np.ndarray = None
-    q2: np.ndarray = None
-    f_mismatch: np.ndarray = None
-    p3: np.ndarray = None
-    p4: np.ndarray = None
-    q3: np.ndarray = None
-    q4: np.ndarray = None
-    q5: np.ndarray = None
-    q6: np.ndarray = None
-    f_dp: np.ndarray = None
-    f_du: np.ndarray = None
-    uhat_t: np.ndarray = None
-    uhat_xt: np.ndarray = None
-    phat_t: np.ndarray = None
-    q1_t: Optional[float] = None
-    q7: Optional[float] = None
+    p1: np.ndarray
+    p2: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    f_mismatch: np.ndarray
+    p3: np.ndarray
+    p4: np.ndarray
+    q3: np.ndarray
+    q4: np.ndarray
+    q5: np.ndarray
+    q6: np.ndarray
+    f_dp: np.ndarray
+    f_du: np.ndarray
+    uhat_t: np.ndarray
+    uhat_xt: np.ndarray
+    phat_t: np.ndarray
+    q1_t: float
+    q7: float
 
 
 class _Workspace:
-    """Shared intermediates for one snapshot, computed on demand."""
+    """The shared intermediates of one snapshot, all computed at once."""
 
-    def __init__(self, inp: KernelInputs):
-        self.inp = inp
-        m = inp.num_intervals
+    def __init__(self, model, controller, snap):
+        m = snap.num_intervals
         self.h = 1.0 / m
-        self.x = grid_nodes(m)
-        self.xm1 = self.x - 1.0
-        model, ctrl = inp.model, inp.controller
-        n = model.dim
-        nodes = m + 1
-        ph = inp.phat
-        uh = inp.uhat
+        self.xm1 = grid_nodes(m) - 1.0
+        dh, dd = snap.dhat, snap.dhat_dot
+        P = snap.phat.reshape(m + 1, -1)
+        U = snap.uhat
 
-        self.fv = np.empty((nodes, n))
-        self.A = np.empty((nodes, n, n))
-        self.b = np.empty((nodes, n))
-        self.fpu = np.empty((nodes, n, n))
-        self.fuu = np.empty((nodes, n))
-        self.fpp = np.empty((nodes, n, n, n))
-        self.k1 = np.empty((nodes, n))
-        self.k2 = np.empty((nodes, n, n))
-        self.k3 = np.empty((nodes, n, n, n))
-        for i in range(nodes):
-            p = ph[i]
-            u = uh[i]
-            self.fv[i] = model.f(p, u)
-            self.A[i] = model.df_dX(p, u)
-            self.b[i] = model.df_du(p, u)
-            self.fpu[i] = model.d2f_dudX(p, u)
-            self.fuu[i] = model.d2f_du2(p, u)
-            self.fpp[i] = model.hess_X(p, u)
-            self.k1[i] = ctrl.dkappa_dX(p)
-            self.k2[i] = ctrl.d2kappa_dX2(p)
-            self.k3[i] = ctrl.third(p)
+        def call(fn, *args):
+            return np.asarray(fn(*args), dtype=float)
 
-        dh = inp.dhat
-        self.B = inp.what_x + dh * np.einsum("ij,ij->i", self.k1, self.fv)
+        self.fv = call(model.f, P, U)
+        self.A = call(model.df_dX, P, U)
+        self.b = call(model.df_du, P, U)
+        self.fpu = call(model.d2f_dudX, P, U)
+        self.fuu = call(model.d2f_du2, P, U)
+        self.fpp = model.hess_X(P, U)
+        self.k1 = call(controller.dkappa_dX, P)
+        self.k2 = call(controller.d2kappa_dX2, P)
+        self.k3 = controller.third(P)
+
+        # first order
+        self.B = snap.what_x + dh * np.einsum("ij,ij->i", self.k1, self.fv)
         self.F1 = dh * np.einsum("iab,ib->ia", self.A, self.fv) \
             + self.b * self.B[:, None]
         self.k1x = dh * np.einsum("ijk,ik->ij", self.k2, self.fv)
-        self.Bp = inp.what_xx + dh * (
+        self.Bp = snap.what_xx + dh * (
             np.einsum("ij,ij->i", self.k1x, self.fv)
             + np.einsum("ij,ij->i", self.k1, self.F1))
         self.G = self.fv + self.b * (self.xm1 * self.B)[:, None]
 
-        self.Phi = inp.field.matrices
-        self.PhiInv = inp.field.inverses
+        self.Phi = snap.field.matrices
+        self.PhiInv = snap.field.inverses
         self.J = np.einsum("iab,ib->ia", self.PhiInv, self.G)
         self.CT = cumulative_trapezoid(self.J, dx=self.h, axis=0, initial=0.0)
         self.I = np.einsum("iab,ib->ia", self.Phi, self.CT)
 
-        p0 = ph[0]
-        self.f0_true = np.asarray(model.f(p0, inp.u[0]), dtype=float)
-        self.f0_hat = self.fv[0]
-        self.f_mismatch = self.f0_true - self.f0_hat
-        self.f_dp = np.asarray(model.df_dX(p0, inp.u[0]), dtype=float) - self.A[0]
-        self.f_du = np.asarray(model.df_du(p0, inp.u[0]), dtype=float) - self.b[0]
+        # the drift at x = 0 under the true and the estimated actuator value
+        p0, u0 = P[0], snap.u[0]
+        self.f0_true = call(model.f, p0, u0)
+        self.f_mismatch = self.f0_true - self.fv[0]
+        self.f_dp = call(model.df_dX, p0, u0) - self.A[0]
+        self.f_du = call(model.df_du, p0, u0) - self.b[0]
 
-        self._deriv_done = False
-        self._time_done = False
-
-    # -- derivative-system intermediates ------------------------------------
-
-    def derivative_terms(self):
-        if self._deriv_done:
-            return
-        inp, dh = self.inp, self.inp.dhat
+        # x-derivatives
         self.bx = dh * np.einsum("iaj,ij->ia", self.fpu, self.fv) \
             + self.fuu * self.B[:, None]
         self.Ax = dh * np.einsum("iajk,ik->iaj", self.fpp, self.fv) \
@@ -170,7 +122,7 @@ class _Workspace:
         self.F1x = dh * (np.einsum("iab,ib->ia", self.Ax, self.fv)
                          + np.einsum("iab,ib->ia", self.A, self.F1)) \
             + self.bx * self.B[:, None] + self.b * self.Bp[:, None]
-        self.Bpp = inp.what_xxx + dh * (
+        self.Bpp = snap.what_xxx + dh * (
             np.einsum("ij,ij->i", self.k1xx, self.fv)
             + 2.0 * np.einsum("ij,ij->i", self.k1x, self.F1)
             + np.einsum("ij,ij->i", self.k1, self.F1x))
@@ -180,15 +132,8 @@ class _Workspace:
         self.Ixx = self.Gx + dh * (
             np.einsum("iab,ib->ia", self.Ax, self.I)
             + np.einsum("iab,ib->ia", self.A, self.Ix))
-        self._deriv_done = True
 
-    # -- time-derivative intermediates --------------------------------------
-
-    def time_terms(self):
-        if self._time_done:
-            return
-        inp = self.inp
-        dh, dd = inp.dhat, inp.dhat_dot
+        # time derivatives
         self.phat_t = self.fv \
             + np.einsum("iab,b->ia", self.Phi, self.f_mismatch) \
             + dd * self.I
@@ -201,42 +146,36 @@ class _Workspace:
         K = np.einsum("iab,ibc,icd->iad", self.PhiInv, Mm, self.Phi)
         CTm = cumulative_trapezoid(K, dx=self.h, axis=0, initial=0.0)
         self.PhiT0 = np.einsum("iab,ibc->iac", self.Phi, CTm)
-        self._time_done = True
 
 
-def eval_first_order_kernels(inp, ks=None, work=None):
-    """p1, p2, q1, q2 profiles and the drift-mismatch vector."""
-    w = work or _Workspace(inp)
-    ks = ks or KernelSet()
-    ratio = inp.true_delay / inp.dhat
-    ks.p1 = ratio * w.B
-    ks.p2 = ratio * w.xm1 * w.B
-    ks.q1 = w.xm1 * w.B - inp.dhat * np.einsum("ij,ij->i", w.k1, w.I)
-    ks.q2 = inp.dhat * np.einsum("ia,iab->ib", w.k1, w.Phi)
-    ks.f_mismatch = w.f_mismatch
-    ks.f_dp = w.f_dp
-    ks.f_du = w.f_du
-    return ks
+def eval_all(model, controller, true_delay, snap):
+    """Full kernel set of one snapshot (a `SystemSnapshot`, or any object
+    with its fields) whose transition field is attached, as
+    `simulate.snapshot_kernels` does before calling this."""
+    if snap.field is None:
+        raise UsageError("the snapshot has no transition field attached")
+    w = _Workspace(model, controller, snap)
+    D = float(true_delay)
+    dh, dd, ddd = snap.dhat, snap.dhat_dot, snap.dhat_ddot
+    M = snap.num_intervals
+    ratio = D / dh
 
+    # first-order kernels
+    p1 = ratio * w.B
+    p2 = ratio * w.xm1 * w.B
+    q1 = w.xm1 * w.B - dh * np.einsum("ij,ij->i", w.k1, w.I)
+    q2 = dh * np.einsum("ia,iab->ib", w.k1, w.Phi)
 
-def eval_derivative_kernels(inp, ks=None, work=None):
-    """p3..q6: exact x-derivatives of the first-order kernels."""
-    w = work or _Workspace(inp)
-    ks = ks or eval_first_order_kernels(inp, work=w)
-    if ks.p1 is None:
-        eval_first_order_kernels(inp, ks, work=w)
-    w.derivative_terms()
-    dh = inp.dhat
-    ratio = inp.true_delay / dh
-    ks.p3 = ratio * w.Bp
-    ks.p4 = ratio * (w.B + w.xm1 * w.Bp)
-    ks.q3 = w.B + w.xm1 * w.Bp - dh * (
+    # p3..q6: exact x-derivatives of the first-order kernels
+    p3 = ratio * w.Bp
+    p4 = ratio * (w.B + w.xm1 * w.Bp)
+    q3 = w.B + w.xm1 * w.Bp - dh * (
         np.einsum("ij,ij->i", w.k1x, w.I)
         + np.einsum("ij,ij->i", w.k1, w.Ix))
     s1 = np.einsum("ia,iaj->ij", w.fv, w.k2) \
         + np.einsum("ia,iaj->ij", w.k1, w.A)
-    ks.q4 = dh * dh * np.einsum("ij,ijb->ib", s1, w.Phi)
-    ks.q5 = 2.0 * w.Bp + w.xm1 * w.Bpp - dh * (
+    q4 = dh * dh * np.einsum("ij,ijb->ib", s1, w.Phi)
+    q5 = 2.0 * w.Bp + w.xm1 * w.Bpp - dh * (
         np.einsum("ij,ij->i", w.k1xx, w.I)
         + 2.0 * np.einsum("ij,ij->i", w.k1x, w.Ix)
         + np.einsum("ij,ij->i", w.k1, w.Ixx))
@@ -245,40 +184,18 @@ def eval_derivative_kernels(inp, ks=None, work=None):
         + np.einsum("ia,iaj->ij", w.k1x, w.A) \
         + np.einsum("ia,iaj->ij", w.k1, w.Ax)
     Phix = dh * np.einsum("iab,ibc->iac", w.A, w.Phi)
-    ks.q6 = dh * dh * (np.einsum("ij,ijb->ib", s1x, w.Phi)
-                       + np.einsum("ij,ijb->ib", s1, Phix))
-    return ks
+    q6 = dh * dh * (np.einsum("ij,ijb->ib", s1x, w.Phi)
+                    + np.einsum("ij,ijb->ib", s1, Phix))
 
-
-def eval_uhat_time_derivatives(inp, ks=None, work=None):
-    """Analytic uhat_t and uhat_xt profiles from the transport identity."""
-    w = work or _Workspace(inp)
-    ks = ks or KernelSet()
-    dh, dd = inp.dhat, inp.dhat_dot
-    ks.uhat_t = (1.0 + dd * w.xm1) / dh * w.B
-    if not getattr(w, "_deriv_done", False):
-        w.derivative_terms()
-    ks.uhat_xt = (dd * w.B + (1.0 + dd * w.xm1) * w.Bp) / dh
-    return ks
-
-
-def eval_q1_t(inp, ks, work):
-    """Time derivative of q1 at x = 1, including the transition-matrix rate."""
-    w = work
-    w.derivative_terms()
-    w.time_terms()
-    dh, dd = inp.dhat, inp.dhat_dot
-    M = inp.num_intervals
+    # q1_t: time derivative of q1 at x = 1, with the transition-matrix rate
     k1M = w.k1[M]
     I_end = w.I[M]
     PhiM = w.Phi[M]
-
     Gt = np.einsum("iab,ib->ia", w.A, w.phat_t) \
         + w.b * w.uhat_t[:, None] \
         + (np.einsum("iaj,ij->ia", w.fpu, w.phat_t)
            + w.fuu * w.uhat_t[:, None]) * (w.xm1 * w.B)[:, None] \
         + w.b * (w.xm1 * w.uhat_xt)[:, None]
-
     # d/dt of I(1) = int Phi(1,y) G(y) dy, split into Phi_t and G_t parts
     phiT_part = w.PhiT0[M] @ w.CT[M] - PhiM @ np.trapezoid(
         np.einsum("iab,ibc,ic->ia", w.PhiInv, w.PhiT0, w.J),
@@ -286,49 +203,26 @@ def eval_q1_t(inp, ks, work):
     gt_part = PhiM @ np.trapezoid(
         np.einsum("iab,ib->ia", w.PhiInv, Gt), dx=w.h, axis=0)
     I_dot = phiT_part + gt_part
-
     q1_t = -dd * float(k1M @ I_end) \
         - dh * float((w.phat_t[M] @ w.k2[M]) @ I_end) \
         - dh * float(k1M @ I_dot)
-    return q1_t
 
-
-def eval_q7(inp, ks, work):
-    """Boundary forcing of the twice-differentiated transformed system:
-    the time derivative of the what_x boundary condition at x = 1."""
-    w = work
-    w.time_terms()
-    dh, dd, ddd = inp.dhat, inp.dhat_dot, inp.dhat_ddot
-    D = inp.true_delay
-    M = inp.num_intervals
-    PhiM = w.Phi[M]
-    k1M = w.k1[M]
-    f_ut = w.f_mismatch
+    # q7: boundary forcing of the twice-differentiated transformed system,
+    # the time derivative of the what_x boundary condition at x = 1
     dtil = (D - dh) / D
-
     q2_t_row = dd * (k1M @ PhiM) \
         + dh * ((w.phat_t[M] @ w.k2[M]) @ PhiM) \
         + dh * (k1M @ w.PhiT0[M])
-    utilde_t0 = (inp.utilde_x[0] - dtil * ks.p1[0] - dd * ks.p2[0]) / D
+    utilde_t0 = (snap.utilde_x[0] - dtil * p1[0] - dd * p2[0]) / D
     f_ut_dot = w.f_dp @ w.f0_true \
-        + w.f_du * (inp.u_x[0] / D) \
+        + w.f_du * (snap.u_x[0] / D) \
         + w.b[0] * utilde_t0
-    q2M = ks.q2[M]
-    return (-ddd * ks.q1[M]
-            - dd * ks.q1_t
-            + float(q2_t_row @ f_ut)
-            + float(q2M @ f_ut_dot))
+    q7 = (-ddd * q1[M]
+          - dd * q1_t
+          + float(q2_t_row @ w.f_mismatch)
+          + float(q2[M] @ f_ut_dot))
 
-
-def eval_all(inp):
-    """Full kernel set for one snapshot (first-order, derivative, and
-    time-derivative groups)."""
-    w = _Workspace(inp)
-    ks = eval_first_order_kernels(inp, work=w)
-    eval_derivative_kernels(inp, ks, work=w)
-    eval_uhat_time_derivatives(inp, ks, work=w)
-    w.time_terms()
-    ks.phat_t = w.phat_t
-    ks.q1_t = eval_q1_t(inp, ks, work=w)
-    ks.q7 = eval_q7(inp, ks, work=w)
-    return ks
+    return KernelSet(p1=p1, p2=p2, q1=q1, q2=q2, f_mismatch=w.f_mismatch,
+                     p3=p3, p4=p4, q3=q3, q4=q4, q5=q5, q6=q6,
+                     f_dp=w.f_dp, f_du=w.f_du, uhat_t=w.uhat_t,
+                     uhat_xt=w.uhat_xt, phat_t=w.phat_t, q1_t=q1_t, q7=q7)

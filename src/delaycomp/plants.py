@@ -1,15 +1,16 @@
 """Plant models, nominal feedback laws, and their analytic derivatives.
 
 A plant is ``Xdot = f(X, v)`` with scalar input ``v`` and state ``X`` in R^n.
-``f`` is array-native: it maps states of shape (..., n) and inputs of shape
-(...) to rates of shape (..., n), so one call evaluates a batch of (K, n)
-states with (K,) inputs (the lockstep predictor march and the nodewise
-predictor derivative rely on this) or a single (n,) state with a scalar.
 Besides ``f`` itself the model carries the Jacobians and the mixed second
 derivatives that the kernel expansions consume.  Third-order data
 (``d2f_dX2``, ``d3kappa_dX3``) is optional; when absent it is reconstructed
 by central differencing of the analytic first/second derivatives, which keeps
 the kernel chain-rule expansions at FD accuracy for user-supplied plants.
+
+Every callback is array-native: it maps states of shape (..., n), and
+inputs of shape (...), to one result per leading index, so a single call
+evaluates all the grid nodes of a profile, or a batch of (K, n) states
+marched in lockstep, as well as a single (n,) state with a scalar input.
 """
 
 from __future__ import annotations
@@ -36,20 +37,21 @@ def _as_state(X, dim):
 class PlantModel:
     """Dynamics f and its derivatives up to the order the kernels need.
 
-    `f(X, u)` must broadcast over leading axes: X of shape (..., n) and u
-    of shape (...) give (..., n), each row computed as a single-state call
-    would compute it.  There is no per-row fallback for a scalar-only f.
-    The derivative callbacks take one (n,) state and a scalar input.
+    Every callback takes a state X of shape (..., n) and an input u of
+    shape (...) (or a scalar) and broadcasts over the leading axes, each
+    row computed as a single-state call would compute it: `f` and `df_du`
+    and `d2f_du2` give (..., n), `df_dX` and `d2f_dudX` (..., n, n), and
+    `d2f_dX2` (..., n, n, n).  There is no per-row fallback for a
+    callback that only takes one state.
     """
 
     dim: int
-    f: Callable[[np.ndarray, float], np.ndarray]
-    df_dX: Callable[[np.ndarray, float], np.ndarray]
-    df_du: Callable[[np.ndarray, float], np.ndarray]
-    d2f_dudX: Callable[[np.ndarray, float], np.ndarray]
-    d2f_du2: Callable[[np.ndarray, float], np.ndarray]
-    d2f_dX2: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    forward_complete_declared: bool = False
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    df_dX: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    df_du: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d2f_dudX: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d2f_du2: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d2f_dX2: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "plant"
 
     def eval_f(self, X, u):
@@ -64,49 +66,53 @@ class PlantModel:
         return out
 
     def hess_X(self, X, u):
-        """d2f/dX2 as an (n, n, n) tensor, [i, j, k] = d^2 f_i / dX_j dX_k.
+        """d2f/dX2 as (..., n, n, n), [..., i, j, k] = d^2 f_i / dX_j dX_k.
 
         Falls back to central differences of df_dX when no analytic tensor
         was supplied.
         """
-        if self.d2f_dX2 is not None:
-            return np.asarray(self.d2f_dX2(np.asarray(X, float), float(u)), dtype=float)
-        n, h = self.dim, _FD_STEP
         X = np.asarray(X, dtype=float)
-        out = np.empty((n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            jp = np.asarray(self.df_dX(X + e, u), dtype=float)
-            jm = np.asarray(self.df_dX(X - e, u), dtype=float)
-            out[:, :, k] = (jp - jm) / (2.0 * h)
-        return out
+        if self.d2f_dX2 is not None:
+            return np.asarray(self.d2f_dX2(X, u), dtype=float)
+        return _central_differences(lambda Y: self.df_dX(Y, u), X)
 
 
 @dataclass
 class Controller:
-    """Nominal delay-free feedback kappa with kappa(0) = 0."""
+    """Nominal delay-free feedback kappa with kappa(0) = 0.
+
+    Like the plant callbacks, every callback broadcasts over leading axes:
+    for states of shape (..., n), `kappa` gives (...), `dkappa_dX`
+    (..., n), `d2kappa_dX2` (..., n, n) and `d3kappa_dX3` (..., n, n, n).
+    """
 
     dim: int
-    kappa: Callable[[np.ndarray], float]
+    kappa: Callable[[np.ndarray], np.ndarray]
     dkappa_dX: Callable[[np.ndarray], np.ndarray]
     d2kappa_dX2: Callable[[np.ndarray], np.ndarray]
     d3kappa_dX3: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def third(self, X):
-        """d3 kappa / dX3 as an (n, n, n) tensor, FD fallback on the Hessian."""
-        if self.d3kappa_dX3 is not None:
-            return np.asarray(self.d3kappa_dX3(np.asarray(X, float)), dtype=float)
-        n, h = self.dim, _FD_STEP
+        """d3 kappa / dX3 as (..., n, n, n), FD fallback on the Hessian."""
         X = np.asarray(X, dtype=float)
-        out = np.empty((n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            hp = np.asarray(self.d2kappa_dX2(X + e), dtype=float)
-            hm = np.asarray(self.d2kappa_dX2(X - e), dtype=float)
-            out[:, :, k] = (hp - hm) / (2.0 * h)
-        return out
+        if self.d3kappa_dX3 is not None:
+            return np.asarray(self.d3kappa_dX3(X), dtype=float)
+        return _central_differences(self.d2kappa_dX2, X)
+
+
+def _central_differences(g, X):
+    """dg/dX by central differences: for g(X) of shape (..., n, n) at
+    states X of shape (..., n), the (..., n, n, n) tensor with the
+    differentiation index last."""
+    n, h = X.shape[-1], _FD_STEP
+    parts = []
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h
+        gp = np.asarray(g(X + e), dtype=float)
+        gm = np.asarray(g(X - e), dtype=float)
+        parts.append((gp - gm) / (2.0 * h))
+    return np.stack(parts, axis=-1)
 
 
 @dataclass
@@ -266,38 +272,60 @@ def check_lyapunov(cert, model, controller, samples, tol=1e-12):
 # built-in plants
 
 
-def _zeros_tensor(n):
-    return np.zeros((n, n, n))
+def _constant(value):
+    """A callback whose value is the same at every state: for states of
+    shape (..., n) it returns `value` repeated to (...) + value.shape."""
+    value = np.asarray(value, dtype=float)
+
+    def call(X, u=None):
+        return np.broadcast_to(value, np.shape(X)[:-1] + value.shape).copy()
+
+    return call
+
+
+def _zeros(*shape):
+    return _constant(np.zeros(shape))
+
+
+def _coord(X, i):
+    """State component i over the leading axes: a numpy scalar for one
+    (n,) state, because arithmetic on the 0-d array that X[..., i] gives
+    there costs several times as much, and marches call this per stage."""
+    return X[..., i][()]
+
+
+def _square_certificate(decay_rate):
+    """V = X^2 for a scalar plant."""
+    return LyapunovCertificate(
+        V=lambda X: float(X[0] ** 2),
+        dV_dX=lambda X: np.array([2.0 * X[0]]),
+        decay_rate=decay_rate,
+        c1=1.0,
+        c2=2.0,
+    )
 
 
 def make_integrator():
     """Scalar integrator Xdot = v with kappa = -X, V = X^2."""
     model = PlantModel(
         dim=1,
-        f=lambda X, u: np.asarray(u, dtype=float)[..., None],
-        df_dX=lambda X, u: np.zeros((1, 1)),
-        df_du=lambda X, u: np.ones(1),
-        d2f_dudX=lambda X, u: np.zeros((1, 1)),
-        d2f_du2=lambda X, u: np.zeros(1),
-        d2f_dX2=lambda X, u: _zeros_tensor(1),
-        forward_complete_declared=True,
+        f=lambda X, u: np.broadcast_to(
+            np.asarray(u, dtype=float), np.shape(X)[:-1])[..., None].copy(),
+        df_dX=_zeros(1, 1),
+        df_du=_constant([1.0]),
+        d2f_dudX=_zeros(1, 1),
+        d2f_du2=_zeros(1),
+        d2f_dX2=_zeros(1, 1, 1),
         name="integrator",
     )
     ctrl = Controller(
         dim=1,
-        kappa=lambda X: -float(X[0]),
-        dkappa_dX=lambda X: np.array([-1.0]),
-        d2kappa_dX2=lambda X: np.zeros((1, 1)),
-        d3kappa_dX3=lambda X: _zeros_tensor(1),
+        kappa=lambda X: -_coord(X, 0),
+        dkappa_dX=_constant([-1.0]),
+        d2kappa_dX2=_zeros(1, 1),
+        d3kappa_dX3=_zeros(1, 1, 1),
     )
-    cert = LyapunovCertificate(
-        V=lambda X: float(X[0] ** 2),
-        dV_dX=lambda X: np.array([2.0 * X[0]]),
-        decay_rate=2.0 * 0.999,
-        c1=1.0,
-        c2=2.0,
-    )
-    return PlantBundle(model, ctrl, cert)
+    return PlantBundle(model, ctrl, _square_certificate(2.0 * 0.999))
 
 
 def make_linear(a=1.0, b=1.0, k=2.0):
@@ -305,32 +333,24 @@ def make_linear(a=1.0, b=1.0, k=2.0):
     a, b, k = float(a), float(b), float(k)
     model = PlantModel(
         dim=1,
-        f=lambda X, u: (a * X[..., 0] + b * u)[..., None],
-        df_dX=lambda X, u: np.array([[a]]),
-        df_du=lambda X, u: np.array([b]),
-        d2f_dudX=lambda X, u: np.zeros((1, 1)),
-        d2f_du2=lambda X, u: np.zeros(1),
-        d2f_dX2=lambda X, u: _zeros_tensor(1),
-        forward_complete_declared=True,
+        f=lambda X, u: (a * _coord(X, 0) + b * u)[..., None],
+        df_dX=_constant([[a]]),
+        df_du=_constant([b]),
+        d2f_dudX=_zeros(1, 1),
+        d2f_du2=_zeros(1),
+        d2f_dX2=_zeros(1, 1, 1),
         name="linear",
     )
     ctrl = Controller(
         dim=1,
-        kappa=lambda X: -k * float(X[0]),
-        dkappa_dX=lambda X: np.array([-k]),
-        d2kappa_dX2=lambda X: np.zeros((1, 1)),
-        d3kappa_dX3=lambda X: _zeros_tensor(1),
+        kappa=lambda X: -k * _coord(X, 0),
+        dkappa_dX=_constant([-k]),
+        d2kappa_dX2=_zeros(1, 1),
+        d3kappa_dX3=_zeros(1, 1, 1),
     )
-    cert = None
     closed = a - b * k
-    if closed < 0.0:
-        cert = LyapunovCertificate(
-            V=lambda X: float(X[0] ** 2),
-            dV_dX=lambda X: np.array([2.0 * X[0]]),
-            decay_rate=-2.0 * closed * 0.999,
-            c1=1.0,
-            c2=2.0,
-        )
+    cert = _square_certificate(-2.0 * closed * 0.999) if closed < 0.0 \
+        else None
     return PlantBundle(model, ctrl, cert)
 
 
@@ -338,34 +358,35 @@ def make_cubic():
     """Scalar Xdot = -X^3 + v, stabilized by kappa = X^3 - X.
 
     The -X^3 drift dominates any bounded input, so the open loop cannot
-    escape in finite time; the closed loop is Xdot = -X.
+    escape in finite time; the closed loop is Xdot = -X.  Powers are
+    written as products, so a batch row equals a single call bit for bit.
     """
+    def f(X, u):
+        x = _coord(X, 0)
+        return (-(x * x * x) + u)[..., None]
+
+    def kappa(X):
+        x = _coord(X, 0)
+        return x * x * x - x
+
     model = PlantModel(
         dim=1,
-        f=lambda X, u: (-(X[..., 0] * X[..., 0] * X[..., 0]) + u)[..., None],
-        df_dX=lambda X, u: np.array([[-3.0 * X[0] ** 2]]),
-        df_du=lambda X, u: np.ones(1),
-        d2f_dudX=lambda X, u: np.zeros((1, 1)),
-        d2f_du2=lambda X, u: np.zeros(1),
-        d2f_dX2=lambda X, u: np.array([[[-6.0 * X[0]]]]),
-        forward_complete_declared=True,
+        f=f,
+        df_dX=lambda X, u: (-3.0 * (X[..., 0] * X[..., 0]))[..., None, None],
+        df_du=_constant([1.0]),
+        d2f_dudX=_zeros(1, 1),
+        d2f_du2=_zeros(1),
+        d2f_dX2=lambda X, u: (-6.0 * X[..., 0])[..., None, None, None],
         name="cubic",
     )
     ctrl = Controller(
         dim=1,
-        kappa=lambda X: float(X[0] ** 3 - X[0]),
-        dkappa_dX=lambda X: np.array([3.0 * X[0] ** 2 - 1.0]),
-        d2kappa_dX2=lambda X: np.array([[6.0 * X[0]]]),
-        d3kappa_dX3=lambda X: np.array([[[6.0]]]),
+        kappa=kappa,
+        dkappa_dX=lambda X: (3.0 * (X[..., 0] * X[..., 0]) - 1.0)[..., None],
+        d2kappa_dX2=lambda X: (6.0 * X[..., 0])[..., None, None],
+        d3kappa_dX3=_constant([[[6.0]]]),
     )
-    cert = LyapunovCertificate(
-        V=lambda X: float(X[0] ** 2),
-        dV_dX=lambda X: np.array([2.0 * X[0]]),
-        decay_rate=2.0 * 0.999,
-        c1=1.0,
-        c2=2.0,
-    )
-    return PlantBundle(model, ctrl, cert)
+    return PlantBundle(model, ctrl, _square_certificate(2.0 * 0.999))
 
 
 def make_double_integrator():
@@ -382,20 +403,19 @@ def make_double_integrator():
         # A X + B u written out, so a batch row equals a single call exactly
         f=lambda X, u: np.stack(
             [X[..., 1], np.broadcast_to(u, np.shape(X)[:-1])], axis=-1),
-        df_dX=lambda X, u: A.copy(),
-        df_du=lambda X, u: B.copy(),
-        d2f_dudX=lambda X, u: np.zeros((2, 2)),
-        d2f_du2=lambda X, u: np.zeros(2),
-        d2f_dX2=lambda X, u: _zeros_tensor(2),
-        forward_complete_declared=True,
+        df_dX=_constant(A),
+        df_du=_constant(B),
+        d2f_dudX=_zeros(2, 2),
+        d2f_du2=_zeros(2),
+        d2f_dX2=_zeros(2, 2, 2),
         name="double_integrator",
     )
     ctrl = Controller(
         dim=2,
-        kappa=lambda X: -float(K @ X),
-        dkappa_dX=lambda X: -K.copy(),
-        d2kappa_dX2=lambda X: np.zeros((2, 2)),
-        d3kappa_dX3=lambda X: _zeros_tensor(2),
+        kappa=lambda X: -(X @ K),
+        dkappa_dX=_constant(-K),
+        d2kappa_dX2=_zeros(2, 2),
+        d3kappa_dX3=_zeros(2, 2, 2),
     )
     Acl = A - np.outer(B, K)
     P = scipy.linalg.solve_continuous_lyapunov(Acl.T, -np.eye(2))

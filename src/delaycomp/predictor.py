@@ -134,14 +134,6 @@ class TransitionField:
     _inverses: np.ndarray = field(default=None, repr=False)
 
     @property
-    def num_intervals(self):
-        return self.matrices.shape[0] - 1
-
-    @property
-    def dim(self):
-        return self.matrices.shape[1]
-
-    @property
     def inverses(self):
         if self._inverses is None:
             conds = np.linalg.cond(self.matrices)
@@ -152,28 +144,20 @@ class TransitionField:
             self._inverses = np.linalg.inv(self.matrices)
         return self._inverses
 
-    def between(self, i, j):
-        """Phi(x_i, x_j) by semigroup composition."""
-        return self.matrices[i] @ self.inverses[j]
-
 
 def compute_transition_field(model, phat, uhat, dhat):
-    """March dPhi/dx = Dhat (df/dX)(p, uhat) Phi from the identity."""
+    """March dPhi/dx = Dhat (df/dX)(p, uhat) Phi from the identity, with
+    df/dX evaluated once, as one array call over the half grid."""
     n = model.dim
     ph = _half_grid_values(phat)
-    uh = _half_grid_values(uhat)
-    m = uhat.num_intervals
+    A = np.asarray(model.df_dX(ph.reshape(ph.shape[0], n),
+                               _half_grid_values(uhat)), dtype=float)
 
     def rhs(ih, Phi):
-        A = np.asarray(model.df_dX(np.atleast_1d(ph[ih]), uh[ih]), dtype=float)
-        return dhat * (A @ Phi)
+        return dhat * (A[ih] @ Phi)
 
-    mats = _march(rhs, np.eye(n), m)
+    mats = _march(rhs, np.eye(n), uhat.num_intervals)
     return TransitionField(matrices=mats, dhat=float(dhat))
-
-
-def transition_between(fieldobj, i, j):
-    return fieldobj.between(i, j)
 
 
 def forcing_integral(model, controller, phat, uhat, what_x, fieldobj, dhat):
@@ -182,39 +166,12 @@ def forcing_integral(model, controller, phat, uhat, what_x, fieldobj, dhat):
     uhat_x = what_x + Dhat (dkappa/dX) f."""
     m = uhat.num_intervals
     x = grid_nodes(m)
-    nodes = phat.values.shape[0]
-    fv = np.empty((nodes, model.dim))
-    bv = np.empty((nodes, model.dim))
-    k1 = np.empty((nodes, model.dim))
-    for i in range(nodes):
-        p = np.atleast_1d(phat.values[i])
-        u = uhat.values[i]
-        fv[i] = model.f(p, u)
-        bv[i] = model.df_du(p, u)
-        k1[i] = controller.dkappa_dX(p)
+    p = phat.values.reshape(m + 1, -1)
+    fv = np.asarray(model.f(p, uhat.values), dtype=float)
+    bv = np.asarray(model.df_du(p, uhat.values), dtype=float)
+    k1 = np.asarray(controller.dkappa_dX(p), dtype=float)
     B = what_x.values + dhat * np.einsum("ij,ij->i", k1, fv)
     G = fv + bv * ((x - 1.0) * B)[:, None]
     J = np.einsum("iab,ib->ia", fieldobj.inverses, G)
     ct = cumulative_trapezoid(J, dx=1.0 / m, axis=0, initial=0.0)
     return np.einsum("iab,ib->ia", fieldobj.matrices, ct)
-
-
-def compute_predictor_time_derivative(model, controller, phat, uhat, what_x,
-                                      fieldobj, dhat, dhat_dot, f_mismatch):
-    """Predictor rate from the transport identity with transition forcing:
-
-        p_t = (p_x + Dhat Phi(x,0) f_mismatch + Dhat_dot Dhat I(x)) / Dhat
-
-    where f_mismatch is the drift difference driven by the actuator
-    estimation error at x = 0 and I is the composed forcing integral.
-    """
-    f_mismatch = np.atleast_1d(np.asarray(f_mismatch, dtype=float))
-    px = predictor_spatial_derivative(model, phat, uhat, dhat).values
-    if px.ndim == 1:
-        px = px[:, None]
-    drive = np.einsum("iab,b->ia", fieldobj.matrices, f_mismatch)
-    I = forcing_integral(model, controller, phat, uhat, what_x, fieldobj, dhat)
-    vals = (px + dhat * drive + dhat_dot * dhat * I) / dhat
-    if phat.values.ndim == 1:
-        vals = vals[:, 0]
-    return GridProfile(vals)

@@ -44,7 +44,7 @@ from .errors import BlowUpError, ConfigError
 from .grid import GridProfile, HalfGridProfile, fd_x_wide
 from .history import (ControlHistory, distributed_estimated_input,
                       distributed_true_input)
-from .kernels import KernelInputs, eval_all
+from .kernels import eval_all
 from .plants import DelayBounds, make_plant
 from .predictor import (_march, check_escape, compute_predictor,
                         compute_transition_field,
@@ -148,13 +148,6 @@ class ScenarioConfig:
         factor = self.dt / dt
         return replace(self, num_intervals=int(num_intervals), dt=float(dt),
                        stride=max(1, int(round(self.stride * factor))))
-
-
-def eval_delay_schedule(schedule, t):
-    """(Dhat, Dhat_dot, Dhat_ddot) at time t >= 0."""
-    if t < 0.0:
-        raise ConfigError("schedule queried at negative time")
-    return schedule.evaluate(t)
 
 
 @dataclass
@@ -265,15 +258,8 @@ def snapshot_field(model, snap):
 def snapshot_kernels(model, controller, true_delay, snap):
     """Full kernel set for a snapshot, computed once and cached."""
     if snap.kernels is None:
-        inp = KernelInputs(
-            model=model, controller=controller, true_delay=float(true_delay),
-            dhat=snap.dhat, dhat_dot=snap.dhat_dot, dhat_ddot=snap.dhat_ddot,
-            X=snap.X, u=snap.u, uhat=snap.uhat, utilde=snap.utilde,
-            phat=snap.phat, what=snap.what, what_x=snap.what_x,
-            what_xx=snap.what_xx, what_xxx=snap.what_xxx,
-            utilde_x=snap.utilde_x, u_x=snap.u_x,
-            field=snapshot_field(model, snap))
-        snap.kernels = eval_all(inp)
+        snapshot_field(model, snap)
+        snap.kernels = eval_all(model, controller, true_delay, snap)
     return snap.kernels
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from delaycomp import ControlHistory, GridProfile, boundary_check, \
-    compute_predictor, forward_transform, grid_nodes, inverse_transform, \
-    make_plant
+from delaycomp import ControlHistory, GridProfile, compute_predictor, \
+    forward_transform, grid_nodes, inverse_transform, make_plant
 from delaycomp.errors import GridMismatchError, UsageError
 
 PLANTS = ["integrator", "linear", "cubic", "double_integrator"]
@@ -69,13 +68,18 @@ def test_inverse_rejects_nonpositive_delay(linear_bundle):
 
 
 def test_boundary_check_zero_when_control_matches(linear_bundle):
+    # the boundary identity U(t) = kappa(p(1, t)) of the control law
     m = 64
     phat = GridProfile(np.linspace(0.2, 0.9, m + 1))
-    target = linear_bundle.controller.kappa(np.array([phat.values[-1]]))
+    kappa = linear_bundle.controller.kappa
+    target = kappa(np.array([phat.values[-1]]))
     hist = ControlHistory(0.1)
     for k in range(6):
         hist.append(0.1 * k, target)
-    assert boundary_check(hist, linear_bundle.controller, phat, 0.5) < 1e-14
+
+    def gap():
+        return abs(hist.sample_many(0.5) - kappa(phat.values[-1:]))
+
+    assert gap() < 1e-14
     hist.replace_last(target + 0.25)
-    assert abs(boundary_check(hist, linear_bundle.controller, phat, 0.5)
-               - 0.25) < 1e-12
+    assert abs(gap() - 0.25) < 1e-12

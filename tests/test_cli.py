@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from delaycomp import cli
+from delaycomp import cli, plants
 from delaycomp.errors import FutureQueryError, UsageError
 
 BASE = """
@@ -212,6 +212,27 @@ def test_sweep_bad_axis_value_exit_2(tmp_path):
     code = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--set", "dt="])
     assert code == 2
+
+
+@pytest.mark.parametrize("registered", [False, True],
+                         ids=["unknown-plant", "registered-plant"])
+def test_sweep_cell_outside_root_exit_2(tmp_path, capsys, monkeypatch,
+                                        registered):
+    # a cell name that climbs out of the output root is refused before
+    # any directory is made, whether or not the plant itself would build
+    name = "../../../escaped"
+    if registered:
+        monkeypatch.setitem(plants.PLANT_REGISTRY, name, plants.make_linear)
+    cfg = write_cfg(tmp_path, BASE)
+    root = tmp_path / "root"
+    root.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    code = cli.main(["sweep", "--config", cfg, "--out", str(root / "out"),
+                     "--set", f"plant={name}"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert os.listdir(root) == []
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 NON_FINITE = [

@@ -1,8 +1,13 @@
-import pytest
+import os
+import tempfile
 
-from delaycomp import ScenarioConfig, apply_override, config_to_dict, \
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delaycomp import ScenarioConfig, apply_override, cli, config_to_dict, \
     load_config, parse_config_text
-from delaycomp.errors import ConfigError
+from delaycomp.errors import ConfigError, UsageError
 
 SAMPLE = """
 # closed-loop scenario
@@ -108,3 +113,70 @@ def test_apply_override_rejects_unknown_or_bad():
         apply_override(cfg, "wobble", 1.0)
     with pytest.raises(ConfigError):
         apply_override(cfg, "dt", "fast")
+
+
+# -- properties of the schema boundary ---------------------------------------
+
+NUMBER_KEYS = ("D", "d_lower", "d_upper", "M", "dt", "T", "stride", "margin",
+               "X0", "schedule.soft_width", "plant.a", "plant.b", "plant.k",
+               "schedule.base", "schedule.amplitude", "schedule.omega",
+               "schedule.value", "schedule.rate", "schedule.phase")
+NAMES = ("linear", "cubic", "integrator", "double_integrator", "pendulum",
+         "constant", "ramp", "sinusoid")
+junk = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+               max_size=12)
+numbers = st.one_of(st.floats(), st.integers(-10 ** 6, 10 ** 6)).map(repr)
+lines = st.one_of(
+    st.tuples(st.sampled_from(NUMBER_KEYS), st.one_of(numbers, junk)),
+    st.tuples(st.sampled_from(("plant", "schedule")),
+              st.one_of(st.sampled_from(NAMES), junk)),
+    st.tuples(junk, st.one_of(numbers, junk)),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.one_of(lines, junk), max_size=12).map("\n".join))
+def test_any_config_text_builds_or_exits_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            load_config(path).build()
+            return
+        except (ConfigError, UsageError):
+            pass
+        code = cli.main(["simulate", "--config", path,
+                         "--out", os.path.join(tmp, "out")])
+        assert code == 2
+
+
+FLOAT_KEYS = ("D", "d_lower", "d_upper", "dt", "T", "margin",
+              "schedule.soft_width", "plant.a", "plant.k", "schedule.omega")
+overrides = st.one_of(
+    st.tuples(st.sampled_from(FLOAT_KEYS), st.floats(allow_nan=False)),
+    st.tuples(st.sampled_from(("M", "stride")),
+              st.integers(-10 ** 9, 10 ** 9)),
+    st.tuples(st.just("X0"),
+              st.lists(st.floats(allow_nan=False), min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(("plant", "schedule")), junk),
+)
+
+
+def _text(value):
+    if isinstance(value, list):
+        return ",".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(earlier=st.lists(overrides, max_size=5), change=overrides)
+def test_apply_override_round_trips_through_config_to_dict(earlier, change):
+    cfg = ScenarioConfig()
+    for key, value in earlier:
+        cfg = apply_override(cfg, key, _text(value))
+    before = config_to_dict(cfg)
+    key, value = change
+    out = apply_override(cfg, key, _text(value))
+    assert config_to_dict(cfg) == before
+    assert config_to_dict(out) == dict(before, **{key: value})

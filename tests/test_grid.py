@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from delaycomp import GridProfile, estimation_error_profile, fd_x_wide, \
-    grid_nodes, spatial_derivative
-from delaycomp.errors import GridMismatchError, UsageError
+from delaycomp import GridProfile, fd_x_wide, grid_nodes
+from delaycomp.errors import UsageError
 
 
 def test_grid_nodes_span_unit_interval():
@@ -14,31 +13,14 @@ def test_grid_nodes_span_unit_interval():
     assert np.allclose(np.diff(x), 1.0 / 50)
 
 
-def test_spatial_derivative_of_square():
-    x = grid_nodes(100)
-    prof = GridProfile(x ** 2)
-    d = spatial_derivative(prof)
-    assert np.max(np.abs(d.values - 2.0 * x)) <= 1e-3
-
-
-def test_spatial_derivative_twice_on_cube():
-    x = grid_nodes(100)
-    prof = GridProfile(x ** 3)
-    dd = spatial_derivative(spatial_derivative(prof))
-    # the three-point boundary rows lose one order when iterated; the
-    # interior stays exact for cubics
-    assert np.max(np.abs(dd.values[2:-2] - 6.0 * x[2:-2])) <= 1e-10
-    assert np.max(np.abs(dd.values - 6.0 * x)) <= 0.05
-
-
 def test_spatial_derivative_is_linear():
     x = grid_nodes(64)
     f = np.sin(2.0 * x)
     g = np.cos(3.0 * x)
-    lhs = spatial_derivative(GridProfile(2.0 * f - 0.5 * g)).values
-    rhs = 2.0 * spatial_derivative(GridProfile(f)).values \
-        - 0.5 * spatial_derivative(GridProfile(g)).values
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    for order in (1, 2, 3):
+        lhs = fd_x_wide(2.0 * f - 0.5 * g, 64, order)
+        rhs = 2.0 * fd_x_wide(f, 64, order) - 0.5 * fd_x_wide(g, 64, order)
+        assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12 * 64.0 ** order)
 
 
 def test_profile_rejects_tiny_grid():
@@ -51,13 +33,6 @@ def test_profile_rejects_non_finite():
     vals[7] = np.nan
     with pytest.raises(UsageError):
         GridProfile(vals)
-
-
-def test_estimation_error_profile_grid_mismatch():
-    u = GridProfile(np.zeros(33))
-    uhat = GridProfile(np.zeros(65))
-    with pytest.raises(GridMismatchError):
-        estimation_error_profile(u, uhat)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

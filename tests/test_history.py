@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycomp import ControlHistory, distributed_estimated_input, \
-    distributed_true_input, sample_control
+    distributed_true_input
 from delaycomp.errors import FutureQueryError, UsageError
 from conftest import make_history, smooth_signal
 
@@ -17,7 +17,7 @@ def test_constant_signal_interpolates_exactly():
 
 def test_zero_before_recording_started():
     hist = make_history(dt=0.01, t_end=1.0)
-    assert sample_control(hist, -1.0) == 0.0
+    assert hist.sample_many(-1.0) == 0.0
     assert np.all(hist.sample_many(np.array([-2.0, -0.5])) == 0.0)
 
 

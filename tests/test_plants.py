@@ -77,6 +77,47 @@ def test_controller_third_fallback():
     assert np.max(np.abs(fd - 6.0)) < 1e-4
 
 
+MODEL_CALLBACKS = ("f", "df_dX", "df_du", "d2f_dudX", "d2f_du2", "hess_X")
+CONTROLLER_CALLBACKS = ("kappa", "dkappa_dX", "d2kappa_dX2", "third")
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_callbacks_broadcast_over_leading_axes(name):
+    # a (3, 4, n) batch of states with (3, 4) inputs: every row equals a
+    # single-state call bit for bit, with the documented trailing shape
+    bundle = make_plant(name)
+    n = bundle.model.dim
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(3, 4, n))
+    u = rng.uniform(-1.0, 1.0, size=(3, 4))
+    calls = [(getattr(bundle.model, c), True) for c in MODEL_CALLBACKS] \
+        + [(getattr(bundle.controller, c), False)
+           for c in CONTROLLER_CALLBACKS]
+    for fn, takes_u in calls:
+        batch = np.asarray(fn(X, u) if takes_u else fn(X))
+        for i in range(3):
+            for j in range(4):
+                one = np.asarray(fn(X[i, j], u[i, j]) if takes_u
+                                 else fn(X[i, j]))
+                assert batch.shape == (3, 4) + one.shape
+                assert np.array_equal(batch[i, j], one), fn
+
+
+def test_fd_fallbacks_broadcast():
+    bundle = make_plant("cubic")
+    model, ctrl = bundle.model, bundle.controller
+    X = np.array([[0.7], [-0.3], [0.1]])
+    u = np.array([0.2, 0.0, -0.5])
+    model.d2f_dX2 = None
+    stripped = Controller(dim=1, kappa=ctrl.kappa, dkappa_dX=ctrl.dkappa_dX,
+                          d2kappa_dX2=ctrl.d2kappa_dX2)
+    hess = model.hess_X(X, u)
+    third = stripped.third(X)
+    assert hess.shape == third.shape == (3, 1, 1, 1)
+    assert np.max(np.abs(hess[:, 0, 0, 0] + 6.0 * X[:, 0])) < 1e-6
+    assert np.max(np.abs(third - 6.0)) < 1e-4
+
+
 def test_unknown_plant_name():
     with pytest.raises(UsageError):
         make_plant("pendulum")

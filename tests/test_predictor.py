@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from delaycomp import GridProfile, compute_predictor, \
-    compute_predictor_time_derivative, compute_transition_field, \
-    forcing_integral, grid_nodes, make_plant, predictor_spatial_derivative, \
-    transition_between
+    compute_transition_field, forcing_integral, grid_nodes, make_plant, \
+    predictor_spatial_derivative, snapshot_kernels
 from delaycomp.errors import BlowUpError, IllConditionedTransitionError, \
     UsageError
 from delaycomp.grid import HalfGridProfile
 from delaycomp.predictor import TransitionField, _half_grid_values, _march
+from conftest import make_slice
 
 
 def constant_profile(value, m=100):
@@ -141,10 +141,17 @@ def test_transition_semigroup_composition():
     uhat = half_grid_samples(lambda s: 0.4 * np.cos(1.5 * s), m)
     phat = compute_predictor(bundle.model, [0.3, -0.2], uhat, 0.5)
     fld = compute_transition_field(bundle.model, phat, uhat.nodes, 0.5)
-    lhs = transition_between(fld, 50, 20)
-    rhs = transition_between(fld, 50, 35) @ transition_between(fld, 35, 20)
+
+    def between(i, j):
+        # Phi(x_i, x_j) = Phi(x_i, 0) Phi(x_j, 0)^{-1}
+        return fld.matrices[i] @ np.linalg.inv(fld.matrices[j])
+
+    lhs = between(50, 20)
+    rhs = between(50, 35) @ between(35, 20)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    assert np.max(np.abs(transition_between(fld, 17, 17) - np.eye(2))) < 1e-12
+    assert np.max(np.abs(between(17, 17) - np.eye(2))) < 1e-12
+    assert np.allclose(fld.inverses, np.linalg.inv(fld.matrices),
+                       rtol=0.0, atol=1e-14)
 
 
 def test_ill_conditioned_transition_rejected():
@@ -177,16 +184,10 @@ def test_forcing_integral_matches_direct_quadrature():
 
 
 def test_time_derivative_reduces_to_transport_without_forcing():
-    bundle = make_plant("cubic")
-    m, dhat = 100, 0.5
-    x = grid_nodes(m)
-    uhat_h = half_grid_samples(lambda s: 0.25 * np.sin(1.7 * s), m)
-    uhat = uhat_h.nodes
-    phat = compute_predictor(bundle.model, [0.6], uhat_h, dhat)
-    what_x = GridProfile(0.1 * np.cos(x))
-    fld = compute_transition_field(bundle.model, phat, uhat, dhat)
-    pt = compute_predictor_time_derivative(
-        bundle.model, bundle.controller, phat, uhat, what_x, fld, dhat,
-        dhat_dot=0.0, f_mismatch=np.zeros(1))
-    px = predictor_spatial_derivative(bundle.model, phat, uhat, dhat)
-    assert np.max(np.abs(pt.values - px.values / dhat)) < 1e-13
+    # with D = Dhat the drift mismatch vanishes, and with Dhat_dot = 0 the
+    # forcing integral drops out: phat_t = phat_x / Dhat
+    bundle, snap = make_slice("cubic", [0.6], true_delay=0.45, dhat=0.45,
+                              dhat_dot=0.0)
+    ks = snapshot_kernels(bundle.model, bundle.controller, 0.45, snap)
+    assert np.max(np.abs(ks.f_mismatch)) == 0.0
+    assert np.max(np.abs(ks.phat_t - snap.phat_x / snap.dhat)) < 1e-13
