@@ -202,7 +202,8 @@ def cmd_sweep(args):
         cell_dir = os.path.join(out, name)
         if os.path.dirname(os.path.realpath(cell_dir)) != root:
             raise ConfigError(
-                f"sweep cell {name!r} would leave the output root {out}")
+                f"sweep cell {name!r} is not a directory directly under "
+                f"the output root {out}")
         cells.append((cfg, cell_dir, overrides, name))
     os.makedirs(out, exist_ok=True)
 
