@@ -1,5 +1,8 @@
 """Forward and inverse backstepping maps between the actuator estimate and
 the transformed field.
+
+The inverse map reads the midpoints of w from the four-point rule on the
+nearest nodes (`GridProfile.interpolant`).
 """
 
 from __future__ import annotations

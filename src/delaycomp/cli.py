@@ -23,8 +23,8 @@ import numpy as np
 from .config import apply_override, config_to_dict, load_config
 from .errors import (BlowUpError, ConfigError, DelaycompError,
                      IllConditionedTransitionError, UsageError)
-from .residuals import (analysis_window_start, convergence_study,
-                        evaluate_snapshot_residuals)
+from .residuals import (convergence_study, evaluate_snapshot_residuals,
+                        window_centers)
 from .serialize import (snapshot_meta, snapshot_rows, trajectory_rows,
                         versions, write_csv, write_json)
 from .simulate import run_scenario, snapshot_kernels
@@ -148,11 +148,9 @@ def _sweep_cell(payload):
         result = run_scenario(cfg)
         header, rows = trajectory_rows(result)
         write_csv(os.path.join(cell_dir, "trajectory.csv"), header, rows)
-        start = analysis_window_start(cfg, result.schedule)
+        _, centers = window_centers(cfg, result)
         max_res = 0.0
-        for c in result.centers:
-            if not (start <= result.times[c] <= cfg.horizon - cfg.dt):
-                continue
+        for c in centers:
             res = evaluate_snapshot_residuals(result, c)
             for val in res.values():
                 max_res = max(max_res, float(np.max(np.abs(val))))

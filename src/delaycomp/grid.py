@@ -5,6 +5,11 @@ transformed state and every spatial derivative) live on the same M+1 node
 grid, as `GridProfile` instances wrapping a plain ndarray with node index
 along axis 0.  A `HalfGridProfile` adds the interval midpoints, which the
 predictor march reads as its stage inputs.
+
+Between samples there is one interpolation rule, in time and in space:
+the four-point Lagrange rule `lagrange4` on the nearest four samples,
+exact at the samples and for cubics.  The control history evaluates U(t)
+with it, and `GridProfile.interpolant` evaluates a node profile with it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import UsageError
 
@@ -21,6 +25,28 @@ MIN_INTERVALS = 8
 
 def grid_nodes(num_intervals):
     return np.linspace(0.0, 1.0, num_intervals + 1)
+
+
+def lagrange4(s, y0, y1, y2, y3):
+    """Four-point Lagrange interpolation through samples y0..y3 at the unit
+    spaced positions 0, 1, 2, 3, evaluated at position s (exact for cubics).
+
+    The weighted samples are summed in order, one term at a time; `s`
+    broadcasts against the samples.
+    """
+    s1, s2, s3 = s - 1.0, s - 2.0, s - 3.0
+    acc = -s1 * s2 * s3 / 6.0 * y0
+    acc += s * s2 * s3 / 2.0 * y1
+    acc += -s * s1 * s3 / 2.0 * y2
+    acc += s * s1 * s2 / 6.0 * y3
+    return acc
+
+
+def cumulative_trapezoid(y, h):
+    """Running trapezoid integral of `y` along axis 0 on step h, from 0."""
+    out = np.zeros(y.shape)
+    out[1:] = np.cumsum(h * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return out
 
 
 @dataclass
@@ -42,13 +68,20 @@ class GridProfile:
     def num_intervals(self):
         return self.values.shape[0] - 1
 
-    @property
-    def x(self):
-        return grid_nodes(self.num_intervals)
-
     def interpolant(self):
-        """Cubic spline through the node values (vector-valued along axis 0)."""
-        return CubicSpline(self.x, self.values, axis=0)
+        """Callable over x in [0, 1] (vector-valued along axis 0): the
+        four-point rule on the nearest four nodes, one-sided at the ends."""
+        v = self.values
+        m = self.num_intervals
+
+        def evaluate(x):
+            pos = np.asarray(x, dtype=float) * m
+            base = np.clip(np.floor(pos).astype(int) - 1, 0, m - 3)
+            s = (pos - base).reshape(pos.shape + (1,) * (v.ndim - 1))
+            return lagrange4(s, v[base], v[base + 1], v[base + 2],
+                             v[base + 3])
+
+        return evaluate
 
 
 @dataclass

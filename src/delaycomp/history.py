@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FutureQueryError, UsageError
-from .grid import GridProfile, grid_nodes
+from .grid import GridProfile, grid_nodes, lagrange4
 
 _REL_TOL = 1e-9
 _CHUNK = 4096  # query times interpolated per vectorized pass
@@ -137,15 +137,8 @@ class ControlHistory:
             # hold one
             ok = lo <= hi
             base = np.where(ok, np.clip(base, lo, np.maximum(hi, 0)), base)
-        s = pos - base
-        s1, s2, s3 = s - 1.0, s - 2.0, s - 3.0
-        # the Lagrange weights times the stencil samples, summed in order
-        # one term at a time
-        acc = -s1 * s2 * s3 / 6.0 * vals[base]
-        acc += s * s2 * s3 / 2.0 * vals[base + 1]
-        acc += -s * s1 * s3 / 2.0 * vals[base + 2]
-        acc += s * s1 * s2 / 6.0 * vals[base + 3]
-        return acc
+        return lagrange4(pos - base, vals[base], vals[base + 1],
+                         vals[base + 2], vals[base + 3])
 
     def sample_many(self, thetas, allow_tail_extrapolation=False,
                     breaks=None):

@@ -34,16 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import UsageError
-from .grid import grid_nodes
+from .grid import cumulative_trapezoid, grid_nodes
 
 
 @dataclass
 class KernelSet:
-    """All kernels of one snapshot."""
+    """All kernels of one snapshot, for the true delay they were built
+    with."""
 
+    true_delay: float
     p1: np.ndarray
     p2: np.ndarray
     q1: np.ndarray
@@ -101,7 +102,7 @@ class _Workspace:
         self.Phi = snap.field.matrices
         self.PhiInv = snap.field.inverses
         self.J = np.einsum("iab,ib->ia", self.PhiInv, self.G)
-        self.CT = cumulative_trapezoid(self.J, dx=self.h, axis=0, initial=0.0)
+        self.CT = cumulative_trapezoid(self.J, self.h)
         self.I = np.einsum("iab,ib->ia", self.Phi, self.CT)
 
         # the drift at x = 0 under the true and the estimated actuator value
@@ -144,7 +145,7 @@ class _Workspace:
             + self.fpu * self.uhat_t[:, None, None]
         Mm = dd * self.A + dh * At
         K = np.einsum("iab,ibc,icd->iad", self.PhiInv, Mm, self.Phi)
-        CTm = cumulative_trapezoid(K, dx=self.h, axis=0, initial=0.0)
+        CTm = cumulative_trapezoid(K, self.h)
         self.PhiT0 = np.einsum("iab,ibc->iac", self.Phi, CTm)
 
 
@@ -222,7 +223,7 @@ def eval_all(model, controller, true_delay, snap):
           + float(q2_t_row @ w.f_mismatch)
           + float(q2[M] @ f_ut_dot))
 
-    return KernelSet(p1=p1, p2=p2, q1=q1, q2=q2, f_mismatch=w.f_mismatch,
-                     p3=p3, p4=p4, q3=q3, q4=q4, q5=q5, q6=q6,
-                     f_dp=w.f_dp, f_du=w.f_du, uhat_t=w.uhat_t,
+    return KernelSet(true_delay=D, p1=p1, p2=p2, q1=q1, q2=q2,
+                     f_mismatch=w.f_mismatch, p3=p3, p4=p4, q3=q3, q4=q4,
+                     q5=q5, q6=q6, f_dp=w.f_dp, f_du=w.f_du, uhat_t=w.uhat_t,
                      uhat_xt=w.uhat_xt, phat_t=w.phat_t, q1_t=q1_t, q7=q7)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BlowUpError, UsageError
 
@@ -392,8 +391,9 @@ def make_cubic():
 def make_double_integrator():
     """Planar double integrator with kappa = -x1 - 2 x2 (poles at -1, -1).
 
-    The quadratic certificate is built numerically from the closed-loop
-    Lyapunov equation and scaled so that V >= |X|^2.
+    The quadratic certificate is P = [[1.5, 0.5], [0.5, 0.5]], the exact
+    solution of the closed-loop Lyapunov equation Acl' P + P Acl = -I with
+    Acl = A - B K, scaled so that V >= |X|^2.
     """
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([0.0, 1.0])
@@ -417,8 +417,7 @@ def make_double_integrator():
         d2kappa_dX2=_zeros(2, 2),
         d3kappa_dX3=_zeros(2, 2, 2),
     )
-    Acl = A - np.outer(B, K)
-    P = scipy.linalg.solve_continuous_lyapunov(Acl.T, -np.eye(2))
+    P = np.array([[1.5, 0.5], [0.5, 0.5]])
     lam_min = float(np.min(np.linalg.eigvalsh(P)))
     Pn = P / lam_min  # V = X' Pn X >= |X|^2
     lam_max = float(np.max(np.linalg.eigvalsh(Pn)))

@@ -6,8 +6,8 @@ fourth-order steps over the grid.  Its stage inputs are the actuator
 estimate at the nodes and the interval midpoints, a `HalfGridProfile`
 that callers sample straight from the recorded input, so no interpolant
 is built for a march and every stage input is local in time.  A node-only
-`GridProfile` is still accepted; its midpoints come from a cubic spline
-through the nodes.
+`GridProfile` is still accepted; its midpoints come from the four-point
+rule on the nearest nodes (`GridProfile.interpolant`), local in space.
 
 `_march` runs the RK4 sweep.  Its state may carry a leading member axis,
 so several marches advance in lockstep through one sweep (the closed-loop
@@ -18,7 +18,8 @@ left the finite range.
 
 The transition field collects Phi(x_i, 0) for the space-varying equation
 dr/dx = Dhat (df/dX)(p(x), uhat(x)) r, from which Phi(x, y) is composed as
-Phi(x, 0) Phi(y, 0)^{-1}.
+Phi(x, 0) Phi(y, 0)^{-1}.  It is marched on node profiles of p and uhat,
+whose midpoints come from the same four-point rule.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import BlowUpError, IllConditionedTransitionError, UsageError
-from .grid import GridProfile, HalfGridProfile, grid_nodes
+from .grid import (GridProfile, HalfGridProfile, cumulative_trapezoid,
+                   grid_nodes)
 
 BLOWUP_LIMIT = 1e8
 COND_LIMIT = 1e12
@@ -88,7 +89,8 @@ def check_escape(y, num_intervals, start=0):
 
 
 def _half_grid_values(profile):
-    """Profile values on the doubled grid (nodes and midpoints) via spline."""
+    """Profile values on the doubled grid (nodes and midpoints), each
+    midpoint from the four nearest nodes."""
     m = profile.num_intervals
     xs = np.linspace(0.0, 1.0, 2 * m + 1)
     return profile.interpolant()(xs)
@@ -98,7 +100,8 @@ def compute_predictor(model, X, uhat, dhat):
     """March the predictor profile from the state and the actuator estimate.
 
     `uhat` is a HalfGridProfile (the estimate at nodes and midpoints); a
-    node-only GridProfile gets spline midpoints.  Returns the node profile.
+    node-only GridProfile gets four-point midpoints.  Returns the node
+    profile.
     """
     if dhat <= 0.0:
         raise UsageError("delay estimate must be positive")
@@ -173,5 +176,5 @@ def forcing_integral(model, controller, phat, uhat, what_x, fieldobj, dhat):
     B = what_x.values + dhat * np.einsum("ij,ij->i", k1, fv)
     G = fv + bv * ((x - 1.0) * B)[:, None]
     J = np.einsum("iab,ib->ia", fieldobj.inverses, G)
-    ct = cumulative_trapezoid(J, dx=1.0 / m, axis=0, initial=0.0)
+    ct = cumulative_trapezoid(J, 1.0 / m)
     return np.einsum("iab,ib->ia", fieldobj.matrices, ct)

@@ -274,12 +274,18 @@ def analysis_window_start(config, schedule):
     return schedule.max_value(config.horizon) + config.margin
 
 
+def window_centers(config, result):
+    """(start, centers): the analysis window's start and the run's snapshot
+    centers inside [start, T - dt]."""
+    start = analysis_window_start(config, result.schedule)
+    return start, [c for c in result.centers
+                   if start <= result.times[c] <= config.horizon - config.dt]
+
+
 def _rung_norms(config):
     """Run one ladder rung and aggregate residual norms over the window."""
     result = run_scenario(config)
-    start = analysis_window_start(config, result.schedule)
-    centers = [c for c in result.centers
-               if start <= result.times[c] <= config.horizon - config.dt]
+    start, centers = window_centers(config, result)
     if not centers:
         raise ConfigError(
             "no snapshot centers inside the analysis window; extend T or "

@@ -71,12 +71,28 @@ class DelaySchedule:
         return max(self.evaluate(t)[0] for t in ts)
 
 
+# the parameters each kind reads; any other key is rejected by name
+_PARAMS = {
+    "constant": ("value",),
+    "ramp": ("base", "rate"),
+    "sinusoid": ("base", "amplitude", "omega", "phase"),
+}
+
+
 def make_schedule(kind, bounds, soft_width=None, **params):
     """Build a delay-estimate schedule, validating against the bounds.
 
     A constant value must lie inside [d_lower, d_upper] outright; varying
     kinds must have their base inside and are saturated when they wander.
+    A parameter the kind does not read raises ConfigError naming it.
     """
+    if kind not in _PARAMS:
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    unknown = sorted(set(params) - set(_PARAMS[kind]))
+    if unknown:
+        raise ConfigError(
+            f"unknown parameter schedule.{unknown[0]} for schedule "
+            f"{kind!r}; known: {list(_PARAMS[kind])}")
     lo, hi = bounds.d_lower, bounds.d_upper
     if soft_width is None:
         soft_width = 0.1 * (hi - lo)
@@ -102,8 +118,6 @@ def make_schedule(kind, bounds, soft_width=None, **params):
                   "amplitude": float(params.get("amplitude", 0.0)),
                   "omega": float(params.get("omega", 1.0)),
                   "phase": float(params.get("phase", 0.0))}
-    else:
-        raise ConfigError(f"unknown schedule kind {kind!r}")
     return DelaySchedule(bounds=bounds, kind=kind, params=params,
                          soft_width=float(soft_width))
 

@@ -38,13 +38,10 @@ def write_json(path, obj):
 
 
 def versions():
-    import scipy
-
     from . import __version__
     return {
         "delaycomp": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
 

@@ -256,8 +256,9 @@ def snapshot_field(model, snap):
 
 
 def snapshot_kernels(model, controller, true_delay, snap):
-    """Full kernel set for a snapshot, computed once and cached."""
-    if snap.kernels is None:
+    """Full kernel set for a snapshot, cached and reused while the true
+    delay stays the same."""
+    if snap.kernels is None or snap.kernels.true_delay != float(true_delay):
         snapshot_field(model, snap)
         snap.kernels = eval_all(model, controller, true_delay, snap)
     return snap.kernels

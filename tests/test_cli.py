@@ -95,6 +95,17 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert "dt" in capsys.readouterr().err
 
 
+def test_simulate_unknown_schedule_parameter_exit_2(tmp_path, capsys):
+    # a misspelt key must not fall back to the default omega = 1
+    cfg = write_cfg(tmp_path, BASE + "schedule.omgea = 5.0\n")
+    code = cli.main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "schedule.omgea" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_config_exit_2(tmp_path):
     code = cli.main(["simulate", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "o")])

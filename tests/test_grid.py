@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delaycomp import GridProfile, fd_x_wide, grid_nodes
+from delaycomp import ControlHistory, GridProfile, fd_x_wide, grid_nodes
 from delaycomp.errors import UsageError
 
 
@@ -76,3 +76,53 @@ def test_fd_x_wide_vector_valued():
     d = fd_x_wide(v, m, 1)
     assert np.allclose(d[:, 0], 2.0 * x, atol=1e-9)
     assert np.allclose(d[:, 1], 0.0, atol=1e-9)
+
+
+# -- the four-point interpolation rule in space --------------------------------
+
+def _cubic(x):
+    return 0.3 - 1.2 * x + 2.5 * x ** 2 - 1.7 * x ** 3
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_interpolant_reproduces_cubics(vector):
+    m = 16
+    x = grid_nodes(m)
+    values = _cubic(x)
+    if vector:
+        values = np.stack([values, 2.0 - 0.5 * x ** 3], axis=1)
+    # dense points, the two end intervals included
+    xq = np.concatenate([np.linspace(0.0, 1.0, 401),
+                         np.linspace(0.0, 1.0 / m, 17),
+                         np.linspace(1.0 - 1.0 / m, 1.0, 17)])
+    got = GridProfile(values).interpolant()(xq)
+    expect = _cubic(xq)
+    if vector:
+        expect = np.stack([expect, 2.0 - 0.5 * xq ** 3], axis=1)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) < 1e-13
+
+
+def test_interpolant_midpoint_error_fourth_order():
+    def fn(x):
+        return np.sin(3.0 * x) + 0.5 * np.cos(7.0 * x)
+
+    errs = []
+    for m in (16, 32, 64, 128):
+        mid = grid_nodes(m)[:-1] + 0.5 / m
+        got = GridProfile(fn(grid_nodes(m))).interpolant()(mid)
+        errs.append(float(np.max(np.abs(got - fn(mid)))))
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert all(12.0 < r < 20.0 for r in ratios), ratios
+
+
+def test_interpolant_is_the_history_rule():
+    # node values recorded as a signal at step 1/M are interpolated alike
+    m = 24
+    values = np.sin(3.0 * grid_nodes(m)) + 0.2
+    hist = ControlHistory(1.0 / m)
+    for i, v in enumerate(values):
+        hist.append(i / m, v)
+    xq = np.linspace(0.0, 1.0, 97)
+    got = GridProfile(values).interpolant()(xq)
+    assert np.max(np.abs(got - hist.sample_many(xq))) < 1e-14

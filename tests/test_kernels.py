@@ -104,3 +104,10 @@ def test_kernel_cache_reused():
     ks2 = snapshot_kernels(bundle.model, bundle.controller, 0.6, snap)
     assert ks1 is ks2
     assert snapshot_field(bundle.model, snap) is snap.field
+    # another true delay rebuilds the set (p1 carries D / Dhat), and the
+    # rebuilt set is cached in turn
+    ks3 = snapshot_kernels(bundle.model, bundle.controller, 0.45, snap)
+    assert ks3 is not ks1 and ks3.true_delay == 0.45
+    np.testing.assert_allclose(ks3.p1, 0.75 * ks1.p1, rtol=1e-14, atol=0.0)
+    assert snapshot_kernels(bundle.model, bundle.controller, 0.45,
+                            snap) is ks3

@@ -77,7 +77,7 @@ def test_diverging_march_raises_without_runtime_warnings():
     assert exc.value.x == pytest.approx(0.01)
 
 
-def test_node_profile_gets_spline_midpoints():
+def test_node_profile_gets_four_point_midpoints():
     bundle = make_plant("cubic")
     nodes = GridProfile(0.3 * np.sin(2.0 * grid_nodes(40)))
     from_nodes = compute_predictor(bundle.model, [0.7], nodes, 0.5)

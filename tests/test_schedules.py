@@ -67,6 +67,16 @@ def test_unknown_kind_rejected():
         make_schedule("sawtooth", BOUNDS)
 
 
+@pytest.mark.parametrize("kind,params,bad", [
+    ("sinusoid", dict(base=0.5, omgea=5.0), "omgea"),
+    ("constant", dict(value=0.5, amplitude=0.1), "amplitude"),
+    ("ramp", dict(base=0.5, omega=1.0), "omega"),
+])
+def test_unknown_parameter_rejected_by_name(kind, params, bad):
+    with pytest.raises(ConfigError, match=f"schedule.{bad}"):
+        make_schedule(kind, BOUNDS, **params)
+
+
 def test_relative_mismatch():
     assert relative_mismatch(0.5, 0.5) == 0.0
     assert abs(relative_mismatch(0.5, 0.4) - 0.2) < 1e-15
