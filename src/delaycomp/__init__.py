@@ -14,8 +14,7 @@ from .errors import (BlowUpError, ConfigError, DelaycompError,
                      FutureQueryError, GridMismatchError,
                      IllConditionedTransitionError, UsageError)
 from .grid import GridProfile, HalfGridProfile, fd_x_wide, grid_nodes
-from .history import (ControlHistory, distributed_estimated_input,
-                      distributed_true_input)
+from .history import ControlHistory, distributed_true_input
 from .kernels import KernelSet, eval_all
 from .plants import (Controller, DelayBounds, LyapunovCertificate,
                      PlantBundle, PlantModel, check_derivative_consistency,
@@ -25,10 +24,7 @@ from .predictor import (TransitionField, compute_predictor,
                         compute_transition_field, forcing_integral,
                         predictor_spatial_derivative)
 from .residuals import (ResidualReport, convergence_study,
-                        evaluate_snapshot_residuals,
-                        residual_derivative_systems, residual_state_equation,
-                        residual_transport_systems, residual_utilde_system,
-                        residual_w_system)
+                        evaluate_snapshot_residuals)
 from .schedules import DelaySchedule, make_schedule, relative_mismatch
 from .simulate import (ScenarioConfig, SimulationResult, SystemSnapshot,
                        materialize_slice, run_scenario, snapshot_field,
@@ -45,15 +41,11 @@ __all__ = [
     "SimulationResult", "SystemSnapshot", "TransitionField", "UsageError",
     "apply_override", "check_derivative_consistency", "check_lyapunov",
     "compute_predictor", "compute_transition_field", "config_to_dict",
-    "convergence_study", "distributed_estimated_input",
-    "distributed_true_input", "eval_all", "evaluate_snapshot_residuals",
+    "convergence_study", "distributed_true_input", "eval_all", "evaluate_snapshot_residuals",
     "fd_x_wide", "forcing_integral", "forward_transform", "grid_nodes",
     "inverse_transform", "load_config", "make_cubic",
     "make_double_integrator", "make_integrator", "make_linear",
     "make_plant", "make_schedule", "materialize_slice", "parse_config_text",
-    "predictor_spatial_derivative", "relative_mismatch",
-    "residual_derivative_systems", "residual_state_equation",
-    "residual_transport_systems", "residual_utilde_system",
-    "residual_w_system", "run_scenario", "snapshot_field",
-    "snapshot_kernels",
+    "predictor_spatial_derivative", "relative_mismatch", "run_scenario",
+    "snapshot_field", "snapshot_kernels",
 ]

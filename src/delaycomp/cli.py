@@ -80,6 +80,7 @@ def _write_run(result, out):
 def cmd_simulate(args):
     started = time.perf_counter()
     cfg = load_config(args.config)
+    cfg.build()  # a config error exits before any directory is made
     out = _out_dir(args, "simulate")
     try:
         result = run_scenario(cfg)
@@ -119,9 +120,11 @@ def _parse_ladder(text):
 def cmd_verify(args):
     cfg = load_config(args.config)
     ladder = _parse_ladder(args.ladder)
-    out = _out_dir(args, "verify")
+    # the study checks the config and the ladder; only a report gets a
+    # directory
     report = convergence_study(cfg, ladder, slope_min=args.slope_min,
                                workers=args.workers)
+    out = _out_dir(args, "verify")
     write_json(os.path.join(out, "report.json"), report.to_dict())
     with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(report.table() + "\n")

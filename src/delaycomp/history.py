@@ -6,6 +6,12 @@ samples uses four-point Lagrange interpolation on the uniform time grid
 trajectory that the spatial derivative identities of the transport fields
 rely on.  Times before the first sample return exactly zero: the actuator
 starts from rest.
+
+The history owns the signal's break times: times where it is continuous but
+not smooth (derivative kinks).  Where a break falls on a sample, stencils
+stay on one side of it, so the cubic order survives across the kink.  The
+on-grid break indices are found again only when the buffer's origin or
+length changes.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ class ControlHistory:
     Single writer appends in time order; reads are pure.  `retention`
     bounds how far back samples are kept once `trim` is called (a margin of
     a few samples is always preserved for the interpolation stencil).
+    `breaks` lists the signal's break times; those off the sample grid are
+    ignored.
     """
 
-    def __init__(self, dt, t_start=0.0, retention=None):
+    def __init__(self, dt, t_start=0.0, retention=None, breaks=None):
         if dt <= 0.0:
             raise UsageError("history sampling step must be positive")
         self.dt = float(dt)
@@ -35,6 +43,10 @@ class ControlHistory:
         self._t0 = float(t_start)  # time of buffer slot 0
         self._buf = np.empty(256)
         self._n = 0
+        self._breaks = None if breaks is None else \
+            np.atleast_1d(np.asarray(breaks, dtype=float))
+        self._kinks_at = None  # (origin, length) the kink indices are for
+        self._kinks = None
 
     @property
     def num_samples(self):
@@ -89,14 +101,19 @@ class ControlHistory:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _break_indices(self, breaks):
-        """Sample indices of break times that land on the sample grid."""
-        tb = np.atleast_1d(np.asarray(breaks, dtype=float))
-        pos = (tb - self._t0) / self.dt
-        kb = np.rint(pos).astype(int)
-        on_grid = np.abs(pos - kb) <= _REL_TOL
-        kb = kb[on_grid & (kb > 0) & (kb < self._n - 1)]
-        return np.unique(kb)
+    def _break_indices(self):
+        """Sample indices of the break times that land inside the sample
+        grid, or None without breaks; kept until an append or a trim."""
+        if self._breaks is None:
+            return None
+        if self._kinks_at != (self._t0, self._n):
+            pos = (self._breaks - self._t0) / self.dt
+            kb = np.rint(pos).astype(int)
+            on_grid = np.abs(pos - kb) <= _REL_TOL
+            self._kinks = np.unique(kb[on_grid & (kb > 0)
+                                       & (kb < self._n - 1)])
+            self._kinks_at = (self._t0, self._n)
+        return self._kinks
 
     def settled(self, thetas):
         """Mask of the times whose interpolated value is final.
@@ -140,21 +157,14 @@ class ControlHistory:
         return lagrange4(pos - base, vals[base], vals[base + 1],
                          vals[base + 2], vals[base + 3])
 
-    def sample_many(self, thetas, allow_tail_extrapolation=False,
-                    breaks=None):
+    def sample_many(self, thetas, allow_tail_extrapolation=False):
         """Vectorized U(theta); exactly the stored value at sample times.
 
         Zero before the first sample.  Querying past the newest sample
         raises unless `allow_tail_extrapolation` is set, in which case the
         final interpolation stencil is extended by up to one step (used by
         the simulator while the current control value is still being
-        computed).
-
-        `breaks` lists times where the signal is continuous but not
-        smooth (derivative kinks).  When a break falls on a sample, the
-        interpolation stencil is kept on one side of it, so the cubic
-        order survives across the kink.  Breaks off the sample grid are
-        ignored.
+        computed).  Stencils stay on one side of the on-grid breaks.
         """
         thetas = np.asarray(thetas, dtype=float)
         scalar = thetas.ndim == 0
@@ -187,7 +197,7 @@ class ControlHistory:
                               vals, self._n - 1)
             out[live] = np.polyval(coef, tl)
         else:
-            kinks = None if breaks is None else self._break_indices(breaks)
+            kinks = self._break_indices()
             flat = tl.reshape(-1)
             res = np.empty(flat.size)
             # in chunks, so a large query keeps few temporaries alive
@@ -198,20 +208,8 @@ class ControlHistory:
         return float(out[0]) if scalar else out
 
 
-def distributed_true_input(history, t, delay, num_intervals, *, breaks=None):
+def distributed_true_input(history, t, delay, num_intervals):
     """Actuator field u(x, t) = U(t + D (x - 1)) on the grid."""
     x = grid_nodes(num_intervals)
     th = t + float(delay) * (x - 1.0)
-    return GridProfile(history.sample_many(th, breaks=breaks))
-
-
-def distributed_estimated_input(history, t, dhat, num_intervals, *,
-                                breaks=None):
-    """Estimated actuator field built with the delay estimate in place of D.
-
-    `dhat` may be a scalar or a DelaySchedule (evaluated at t).
-    """
-    if hasattr(dhat, "evaluate"):
-        dhat = dhat.evaluate(t)[0]
-    return distributed_true_input(history, t, dhat, num_intervals,
-                                  breaks=breaks)
+    return GridProfile(history.sample_many(th))

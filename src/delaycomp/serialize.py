@@ -107,11 +107,3 @@ def snapshot_meta(snap):
         meta["q7"] = float(ks.q7)
     return meta
 
-
-def profile_rows(profile):
-    """CSV form of a single grid profile: x then value column(s)."""
-    vals = np.atleast_2d(profile.values.T).T
-    header = ["x"] + [f"v{i + 1}" for i in range(vals.shape[1])]
-    xs = np.linspace(0.0, 1.0, vals.shape[0])
-    rows = [[xs[j]] + list(vals[j]) for j in range(vals.shape[0])]
-    return header, rows

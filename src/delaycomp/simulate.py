@@ -2,24 +2,32 @@
 
 The plant Xdot = f(X, U(t - D)) is stepped with classical fourth-order
 stages; the delayed input between samples comes from the cubic history
-interpolant.  At each step the control is set to kappa(p(1, t)) where p is
-the predictor marched through the current actuator-estimate profile, whose
-node and midpoint samples are read straight from the history.  The loop is
-causal: U(t) is first computed from a one-step tail extrapolation of the
-history, and refined by re-marching at snapshot steps so that the recorded
-boundary identity w(1, t) = 0 holds to roundoff.
+interpolant, which keeps its stencils off the kink times D, 2D, ... that
+the actuator's start from rest echoes through the loop.  At each step the
+control is set to kappa(p(1, t)) where p is the predictor marched through
+the current actuator-estimate profile, whose node and midpoint samples are
+read straight from the history.  The loop is causal: U(t) is first computed
+from a one-step tail extrapolation of the history, and refined by
+re-marching at snapshot steps so that the recorded boundary identity
+w(1, t) = 0 holds to roundoff.
 
 Steps are processed in blocks of up to `_BLOCK` consecutive steps:
 
 * block start: the plant state is advanced through the block, as far as
-  its delayed inputs are already recorded (the input delay D caps the
+  its delayed inputs are already settled (the input delay D caps the
   block), and one `sample_many` call takes the settled prefix of every
   member's estimate profile, the part no later sample can change;
 * prefix: `_march` runs all prefixes in lockstep as one (K, n) state, each
   member stopping at the end of its own prefix;
 * tails: in step order, each member samples and marches its few unknown
   tail intervals from its stored prefix state, sets U and records it;
-  refines at snapshot steps re-march only the tail.
+  refines at snapshot steps re-march only the tail;
+* block end: the state takes the block's last step, through the same
+  routine (`_advance`) as the steps taken at block start.
+
+The first steps are blocks of one.  Once four samples exist, steps 0-3 are
+re-solved against full-order interpolation, each as a one-member block, so
+every predictor march of the loop runs through `_BlockMarches`.
 
 Each member's march is the same sequence of RK4 intervals, on the same
 samples, as a single full march at its own step, so the block size changes
@@ -41,9 +49,8 @@ import numpy as np
 
 from .backstepping import forward_transform
 from .errors import BlowUpError, ConfigError
-from .grid import GridProfile, HalfGridProfile, fd_x_wide
-from .history import (ControlHistory, distributed_estimated_input,
-                      distributed_true_input)
+from .grid import GridProfile, HalfGridProfile, fd_x_wide, grid_nodes
+from .history import ControlHistory, distributed_true_input
 from .kernels import eval_all
 from .plants import DelayBounds, make_plant
 from .predictor import (_march, check_escape, compute_predictor,
@@ -206,31 +213,28 @@ class SimulationResult:
 
 
 def materialize_slice(model, controller, hist, t, X, true_delay,
-                      dhat, dhat_dot, dhat_ddot, num_intervals, step=0,
-                      breaks=None):
+                      dhat, dhat_dot, dhat_ddot, num_intervals, step=0):
     """Build a full SystemSnapshot from a recorded input signal and a state.
 
     Useful outside the simulator too: any sufficiently smooth history (for
     example a synthetic signal appended sample by sample) can be sliced
     into the distributed fields, their derivatives, and later kernels.
-    `breaks` lists times where the recorded signal has reduced smoothness;
-    interpolation stencils are kept on one side of them.
     """
     X = np.atleast_1d(np.asarray(X, dtype=float))
     # the estimate on the half grid: its even samples are the nodes
-    uhat_h = HalfGridProfile(distributed_estimated_input(
-        hist, t, dhat, 2 * num_intervals, breaks=breaks).values)
+    half_x = grid_nodes(2 * num_intervals) - 1.0
+    uhat_h = HalfGridProfile(hist.sample_many(t + float(dhat) * half_x))
     phat = compute_predictor(model, X, uhat_h, dhat)
     return _assemble_slice(model, controller, hist, t, X, true_delay,
                            dhat, dhat_dot, dhat_ddot, uhat_h.nodes, phat,
-                           step, breaks)
+                           step)
 
 
 def _assemble_slice(model, controller, hist, t, X, true_delay, dhat,
-                    dhat_dot, dhat_ddot, uhat_p, phat_p, step, breaks):
+                    dhat_dot, dhat_ddot, uhat_p, phat_p, step):
     """The snapshot around given estimate and predictor node profiles."""
     m = uhat_p.num_intervals
-    u_p = distributed_true_input(hist, t, true_delay, m, breaks=breaks)
+    u_p = distributed_true_input(hist, t, true_delay, m)
     what = forward_transform(controller, uhat_p, phat_p).values
     utilde = u_p.values - uhat_p.values
     return SystemSnapshot(
@@ -272,14 +276,6 @@ def _control_from(controller, p_end):
     return value
 
 
-def _control_value(model, controller, hist, X, t, dhat, half_x, breaks):
-    """Control from one full predictor march on recorded samples."""
-    uhat = HalfGridProfile(hist.sample_many(t + dhat * half_x,
-                                            breaks=breaks))
-    phat = compute_predictor(model, X, uhat, dhat)
-    return _control_from(controller, phat.values[-1])
-
-
 def _stage_inputs_zero(t, dt, D):
     """True while the whole step from t lies left of the input activation
     at t = D: every stage then uses the zero pre-history branch, including
@@ -287,19 +283,32 @@ def _stage_inputs_zero(t, dt, D):
     return t + dt <= D + 1e-12 * max(1.0, D)
 
 
-def _state_step(model, X, v, dt):
-    k1 = model.f(X, v[0])
-    k2 = model.f(X + 0.5 * dt * k1, v[1])
-    k3 = model.f(X + 0.5 * dt * k2, v[1])
-    k4 = model.f(X + dt * k3, v[2])
-    return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _stage_times(t, dt, D):
+    """Delayed times of the three RK4 stage inputs of the steps from t."""
+    return t[:, None] + np.array([0.0, 0.5 * dt, dt]) - D
 
 
-def _escaped(X):
-    return not np.all(np.isfinite(X)) or np.max(np.abs(X)) > STATE_LIMIT
+def _advance(model, hist, states, k0, count, dt, D):
+    """Take the plant steps k0 .. k0+count-1 on the recorded input, storing
+    states[k0+1 ..]; returns how many states were stored, stopping before
+    the first one that escapes."""
+    t = np.arange(k0, k0 + count) * dt
+    v = hist.sample_many(_stage_times(t, dt, D))
+    v[_stage_inputs_zero(t, dt, D)] = 0.0
+    X = states[k0]
+    for j, (v0, v1, v2) in enumerate(v):
+        k1 = model.f(X, v0)
+        k2 = model.f(X + 0.5 * dt * k1, v1)
+        k3 = model.f(X + 0.5 * dt * k2, v1)
+        k4 = model.f(X + dt * k3, v2)
+        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > STATE_LIMIT:
+            return j
+        states[k0 + j + 1] = X
+    return count
 
 
-def _advance_ahead(model, hist, states, k0, size, dt, D, breaks):
+def _advance_ahead(model, hist, states, k0, size, dt, D):
     """Fill states[k0+1 .. k0+size-1] from inputs already settled.
 
     Returns the block size to keep: it ends before the first step whose
@@ -307,19 +316,10 @@ def _advance_ahead(model, hist, states, k0, size, dt, D, breaks):
     the step loop then meets, in order, at the block's last step.
     """
     t = np.arange(k0, k0 + size - 1) * dt
-    taus = t[:, None] + np.array([0.0, 0.5 * dt, dt]) - D
-    zero = _stage_inputs_zero(t, dt, D)
-    ok = zero | hist.settled(taus).all(axis=1)
+    ok = _stage_inputs_zero(t, dt, D) \
+        | hist.settled(_stage_times(t, dt, D)).all(axis=1)
     ahead = int(np.argmin(ok)) if not ok.all() else ok.size
-    v = hist.sample_many(taus[:ahead], breaks=breaks)
-    v[zero[:ahead]] = 0.0
-    X = states[k0]
-    for j in range(ahead):
-        X = _state_step(model, X, v[j], dt)
-        if _escaped(X):
-            return j + 1
-        states[k0 + j + 1] = X
-    return ahead + 1
+    return 1 + _advance(model, hist, states, k0, ahead, dt, D)
 
 
 class _BlockMarches:
@@ -331,9 +331,9 @@ class _BlockMarches:
     """
 
     def __init__(self, model, controller, hist, schedule, states, k0, size,
-                 dt, half_x, breaks):
+                 dt, half_x):
         self.model, self.controller, self.hist = model, controller, hist
-        self.states, self.breaks = states, breaks
+        self.states = states
         self.k0, self.dt = k0, dt
         self.m = (half_x.size - 1) // 2
         self.dhat = np.array([schedule.evaluate(k * dt)[0]
@@ -345,7 +345,7 @@ class _BlockMarches:
         self.stop = np.maximum(self.count - 1, 0) // 2
         self.uhat = np.empty_like(self.theta)
         known = np.arange(half_x.size) < self.count[:, None]
-        self.uhat[known] = hist.sample_many(self.theta[known], breaks=breaks)
+        self.uhat[known] = hist.sample_many(self.theta[known])
 
         order = np.argsort(-self.stop, kind="stable")
         dh = self.dhat[order][:, None]
@@ -366,8 +366,7 @@ class _BlockMarches:
         head, stop = self.count[j], self.stop[j]
         row = self.uhat[j]
         row[head:] = self.hist.sample_many(
-            self.theta[j, head:], allow_tail_extrapolation=extrapolate,
-            breaks=self.breaks)
+            self.theta[j, head:], allow_tail_extrapolation=extrapolate)
         dhat, f = self.dhat[j], self.model.f
 
         def rhs(ih, p):
@@ -397,7 +396,7 @@ class _BlockMarches:
         uhat = GridProfile(self.uhat[j, ::2].copy())
         return _assemble_slice(
             self.model, self.controller, self.hist, t, self.states[k],
-            true_delay, dhat, dd, ddd, uhat, phat, k, self.breaks)
+            true_delay, dhat, dd, ddd, uhat, phat, k)
 
 
 def run_scenario(config: ScenarioConfig, snapshot_steps=None,
@@ -432,13 +431,13 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
     for c in centers:
         emit.update((c - 1, c, c + 1))
 
-    hist = ControlHistory(dt, retention=2.0 * config.bounds().d_upper)
     # the recorded input is continuous but loses smoothness where the
     # start-of-history jump echoes through the loop, at multiples of the
     # true delay; keeping interpolation stencils off those points
     # preserves the cubic order of the stage inputs
-    kink_times = D * np.arange(1.0, 7.0)
-    half_x = np.linspace(0.0, 1.0, 2 * m + 1) - 1.0
+    hist = ControlHistory(dt, retention=2.0 * config.bounds().d_upper,
+                          breaks=D * np.arange(1.0, 7.0))
+    half_x = grid_nodes(2 * m) - 1.0
     states = np.empty((n_steps + 1, model.dim))
     controls = np.empty(n_steps + 1)
     times = dt * np.arange(n_steps + 1)
@@ -450,10 +449,9 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
         # a block spans neither the start-up re-solve nor a history trim
         size = 1 if k0 < 4 else min(_BLOCK, n_steps + 1 - k0,
                                     1 + (-k0) % _TRIM_EVERY)
-        size = _advance_ahead(model, hist, states, k0, size, dt, D,
-                              kink_times)
+        size = _advance_ahead(model, hist, states, k0, size, dt, D)
         marches = _BlockMarches(model, controller, hist, schedule, states,
-                                k0, size, dt, half_x, kink_times)
+                                k0, size, dt, half_x)
         for k in range(k0, k0 + size):
             t = k * dt
             try:
@@ -483,33 +481,27 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
                 # than four points; with four recorded the early values
                 # can be re-solved against full-order interpolation (the
                 # state is drift-only until t = D, so no earlier step
-                # consumed them)
+                # consumed them).  Each step is re-marched as a one-member
+                # block built after the previous replacement (Gauss-Seidel
+                # order); its queries end at the newest sample, so tail
+                # extrapolation only adds the block's prefix escape check
                 for _ in range(6):
                     delta = 0.0
                     for j in range(4):
-                        tj = j * dt
-                        dhat_j, _, _ = schedule.evaluate(tj)
-                        Uj = _control_value(model, controller, hist,
-                                            states[j], tj, dhat_j, half_x,
-                                            kink_times)
+                        Uj = _BlockMarches(
+                            model, controller, hist, schedule, states, j, 1,
+                            dt, half_x).control(j, extrapolate=True)
                         delta = max(delta, abs(Uj - controls[j]))
-                        hist.replace_at(tj, Uj)
+                        hist.replace_at(j * dt, Uj)
                         controls[j] = Uj
                     if delta <= 1e-13 * max(1.0, np.max(np.abs(controls[:4]))):
                         break
 
         k = k0 + size - 1
         if k < n_steps:
-            t = k * dt
-            taus = t + np.array([0.0, 0.5 * dt, dt]) - D
-            v = hist.sample_many(taus, breaks=kink_times)
-            if _stage_inputs_zero(t, dt, D):
-                v[:] = 0.0
-            X = _state_step(model, states[k], v, dt)
-            if _escaped(X):
-                raise BlowUpError(
-                    f"state escaped at t={t + dt:.6g}", time=t + dt)
-            states[k + 1] = X
+            if not _advance(model, hist, states, k, 1, dt, D):
+                t = k * dt + dt
+                raise BlowUpError(f"state escaped at t={t:.6g}", time=t)
             if k % _TRIM_EVERY == 0:
                 hist.trim()
         k0 = k + 1

@@ -11,8 +11,8 @@ def smooth_signal(theta):
     return 0.25 * np.sin(1.3 * theta) + 0.1 * np.cos(0.7 * theta)
 
 
-def make_history(fn=smooth_signal, dt=1e-3, t_end=3.5):
-    hist = ControlHistory(dt)
+def make_history(fn=smooth_signal, dt=1e-3, t_end=3.5, breaks=None):
+    hist = ControlHistory(dt, breaks=breaks)
     n = int(round(t_end / dt))
     for k in range(n + 1):
         t = k * dt

@@ -15,7 +15,8 @@ from delaycomp import ScenarioConfig, cli, convergence_study, fd_x_wide, \
     forward_transform, grid_nodes, inverse_transform, make_plant, \
     run_scenario, snapshot_kernels
 from delaycomp.grid import GridProfile
-from delaycomp.residuals import BOUNDARY_EQUATIONS, residual_w_system
+from delaycomp.residuals import BOUNDARY_EQUATIONS, \
+    evaluate_snapshot_residuals
 from conftest import make_slice
 
 LADDER_SCENARIO = ScenarioConfig(
@@ -113,7 +114,7 @@ def test_criterion_4_exact_delay_degeneracy(capfd):
     for c in res.centers:
         prev, snap, nxt = res.snapshot_triplet(c)
         max_ut = max(max_ut, np.max(np.abs(snap.utilde)))
-        prof, _ = residual_w_system(res, c)
+        prof = evaluate_snapshot_residuals(res, c)["what"]
         wt = (nxt.what - prev.what) / (2.0 * cfg.dt)
         transport = (snap.dhat * wt - snap.what_x)[1:-1]
         max_diff = max(max_diff, np.max(np.abs(prof - transport)))

@@ -93,6 +93,7 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert "dt" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_unknown_schedule_parameter_exit_2(tmp_path, capsys):
@@ -104,6 +105,7 @@ def test_simulate_unknown_schedule_parameter_exit_2(tmp_path, capsys):
     assert code == 2
     assert "schedule.omgea" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_missing_config_exit_2(tmp_path):
@@ -183,6 +185,16 @@ def test_verify_short_ladder_exit_2(tmp_path):
     code = cli.main(["verify", "--config", cfg,
                      "--out", str(tmp_path / "v"), "--ladder", "16,32"])
     assert code == 2
+    assert not (tmp_path / "v").exists()
+
+
+def test_verify_bad_config_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, EQUILIBRIUM + "schedule.valeu = 0.4\n")
+    code = cli.main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "v"), "--ladder", "16,32,64"])
+    assert code == 2
+    assert "schedule.valeu" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_sweep_grid(tmp_path):

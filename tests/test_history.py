@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaycomp import ControlHistory, distributed_estimated_input, \
-    distributed_true_input
+from delaycomp import ControlHistory, distributed_true_input
 from delaycomp.errors import FutureQueryError, UsageError
 from conftest import make_history, smooth_signal
 
@@ -69,20 +68,45 @@ def test_replace_at_overwrites_sample():
 def test_breaks_keep_stencils_one_sided():
     kink = 1.0
     fn = lambda t: abs(t - kink)
-    hist = make_history(fn=fn, dt=0.01, t_end=2.0)
     theta = np.array([0.995, 1.005])
-    plain = hist.sample_many(theta)
-    aware = hist.sample_many(theta, breaks=[kink])
+    plain = make_history(fn=fn, dt=0.01, t_end=2.0).sample_many(theta)
+    aware = make_history(fn=fn, dt=0.01, t_end=2.0,
+                         breaks=[kink]).sample_many(theta)
     exact = np.abs(theta - kink)
     assert np.max(np.abs(plain - exact)) > 1e-4
     assert np.max(np.abs(aware - exact)) < 1e-12
 
 
 def test_breaks_off_grid_are_ignored():
-    hist = make_history(dt=0.01, t_end=2.0)
     theta = np.linspace(0.3, 1.7, 101)
-    assert np.array_equal(hist.sample_many(theta),
-                          hist.sample_many(theta, breaks=[1.0033]))
+    assert np.array_equal(
+        make_history(dt=0.01, t_end=2.0).sample_many(theta),
+        make_history(dt=0.01, t_end=2.0, breaks=[1.0033]).sample_many(theta))
+
+
+def test_break_indices_follow_a_trim():
+    # the on-grid break indices are cached per buffer origin and length;
+    # after a trim and as many appends as it dropped the length is back
+    # where it was, but the origin has moved
+    dt, kink = 0.01, 1.3
+    fn = lambda t: abs(t - kink)
+    hist = ControlHistory(dt, retention=1.0, breaks=[kink])
+    for k in range(201):
+        hist.append(k * dt, fn(k * dt))
+    before = hist.num_samples
+    theta = np.linspace(1.25, 1.95, 71)
+    hist.sample_many(theta)
+    hist.trim()
+    dropped = before - hist.num_samples
+    assert dropped > 0
+    for k in range(201, 201 + dropped):
+        hist.append(k * dt, fn(k * dt))
+    assert hist.num_samples == before
+    fresh = ControlHistory(dt, t_start=dropped * dt, breaks=[kink])
+    for k, value in enumerate(hist.values):
+        fresh.append((dropped + k) * dt, value)
+    assert np.array_equal(hist.sample_many(theta), fresh.sample_many(theta))
+    assert np.max(np.abs(hist.sample_many(theta) - fn(theta))) < 1e-12
 
 
 def test_trim_keeps_recent_window():
@@ -103,17 +127,6 @@ def test_distributed_fields_boundary_values():
     assert abs(uhat.values[0] - smooth_signal(t - dhat)) < 1e-10
 
 
-def test_distributed_estimated_input_accepts_schedule():
-    from delaycomp import make_schedule
-    from delaycomp.plants import DelayBounds
-    hist = make_history(dt=0.001, t_end=3.0)
-    bounds = DelayBounds(d_lower=0.2, d_upper=1.0, true_delay=0.5)
-    sched = make_schedule("constant", bounds, value=0.45)
-    a = distributed_estimated_input(hist, 2.5, sched, 64)
-    b = distributed_estimated_input(hist, 2.5, 0.45, 64)
-    assert np.array_equal(a.values, b.values)
-
-
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        start=st.integers(4, 80),
@@ -129,7 +142,7 @@ def test_settled_samples_do_not_change_within_a_block(seed, start, blocks,
     rng = np.random.default_rng(seed)
     breaks = [k * dt for k in kinks] + [(kinks[0] + off_grid) * dt] \
         if kinks else None
-    hist = ControlHistory(dt, retention=0.3)
+    hist = ControlHistory(dt, retention=0.3, breaks=breaks)
     step = 0
     for _ in range(start):
         hist.append(step * dt, rng.uniform(-1.0, 1.0))
@@ -142,17 +155,15 @@ def test_settled_samples_do_not_change_within_a_block(seed, start, blocks,
             # everything at least three steps back is settled
             assert np.all(mask[thetas <= hist.t_now - 3.0 * dt])
         assert not np.any(mask[thetas > hist.t_now])
-        first = hist.sample_many(thetas[mask], breaks=breaks)
+        first = hist.sample_many(thetas[mask])
         for _ in range(size):
             hist.append(step * dt, rng.uniform(-1.0, 1.0))
             step += 1
             for extrapolate in (True, False):
                 assert np.array_equal(
-                    hist.sample_many(thetas[mask], extrapolate,
-                                     breaks=breaks), first)
+                    hist.sample_many(thetas[mask], extrapolate), first)
             hist.replace_last(rng.uniform(-1.0, 1.0))
-            assert np.array_equal(
-                hist.sample_many(thetas[mask], breaks=breaks), first)
+            assert np.array_equal(hist.sample_many(thetas[mask]), first)
 
 
 def test_nothing_settled_before_four_samples():

@@ -1,9 +1,9 @@
 import numpy as np
 
 from delaycomp import ScenarioConfig, run_scenario
-from delaycomp.serialize import fmt, profile_rows, snapshot_meta, \
-    snapshot_rows, trajectory_rows, versions, write_csv, write_json
-from delaycomp import GridProfile, snapshot_kernels
+from delaycomp.serialize import fmt, snapshot_meta, snapshot_rows, \
+    trajectory_rows, versions, write_csv, write_json
+from delaycomp import snapshot_kernels
 
 
 def small_result():
@@ -67,14 +67,6 @@ def test_snapshot_rows_with_kernels():
     meta = snapshot_meta(snap)
     assert meta["M"] == cfg.num_intervals
     assert "q7" in meta and "q1_t" in meta
-
-
-def test_profile_rows_scalar():
-    prof = GridProfile(np.linspace(0.0, 1.0, 21) ** 2)
-    header, rows = profile_rows(prof)
-    assert header == ["x", "v1"]
-    assert len(rows) == 21
-    assert rows[-1] == [1.0, 1.0]
 
 
 def test_serialization_is_byte_deterministic(tmp_path):

@@ -196,7 +196,7 @@ def test_loop_snapshots_equal_materialize_slice(monkeypatch, plant, X0):
         ref = simulate.materialize_slice(
             self.model, self.controller, self.hist, snap.t, snap.X,
             true_delay, snap.dhat, snap.dhat_dot, snap.dhat_ddot,
-            snap.num_intervals, step=k, breaks=self.breaks)
+            snap.num_intervals, step=k)
         for name in SNAPSHOT_ARRAYS:
             assert np.array_equal(getattr(snap, name), getattr(ref, name)), \
                 (k, name)

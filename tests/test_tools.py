@@ -1,14 +1,17 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from delaycomp import cli
 from test_cli import BASE, write_cfg
 
-TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                    "compare_outputs.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+TOOL = os.path.join(ROOT, "tools", "compare_outputs.py")
+PROBE = os.path.join(ROOT, "tools", "equivalence_probe.py")
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +71,13 @@ def test_missing_files_are_listed(compare_outputs, two_runs):
     os.remove(b / "manifest.json")
     table = compare_outputs.compare(str(a), str(b))
     assert table.problems == ["only in A: manifest.json"]
+
+
+def test_equivalence_probe_same_checkout():
+    proc = subprocess.run([sys.executable, PROBE, ROOT, ROOT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for name in ("simulate-linear", "simulate-cubic", "verify", "sweep"):
+        assert f"== {name}: exit 0 / 0" in proc.stdout
+    assert proc.stdout.count("worst relative difference 0.000e+00") == 4
+    assert proc.stdout.rstrip().endswith("equivalent")
