@@ -152,14 +152,15 @@ def _sweep_cell(payload):
         header, rows = trajectory_rows(result)
         write_csv(os.path.join(cell_dir, "trajectory.csv"), header, rows)
         _, centers = window_centers(cfg, result)
-        max_res = 0.0
-        for c in centers:
-            res = evaluate_snapshot_residuals(result, c)
-            for val in res.values():
-                max_res = max(max_res, float(np.max(np.abs(val))))
         status, code = "ok", EXIT_OK
         extra["final_norm"] = float(np.max(np.abs(result.states[-1])))
-        extra["max_residual"] = max_res
+        if centers:  # a cell with no centre in its window has no residual
+            max_res = 0.0
+            for c in centers:
+                res = evaluate_snapshot_residuals(result, c)
+                for val in res.values():
+                    max_res = max(max_res, float(np.max(np.abs(val))))
+            extra["max_residual"] = max_res
     except BlowUpError as exc:
         status, code = "blow-up", EXIT_BLOWUP
         extra.update(failure_time=exc.time, failure=str(exc))

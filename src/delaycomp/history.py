@@ -4,14 +4,14 @@ The scalar input U is appended at a fixed sampling step.  Evaluation between
 samples uses four-point Lagrange interpolation on the uniform time grid
 (exact at the nodes, reproduces cubics), which gives the differentiable U
 trajectory that the spatial derivative identities of the transport fields
-rely on.  Times before the first sample return exactly zero: the actuator
-starts from rest.
+rely on.  Samples sit at t = 0, dt, 2 dt, ... and every one is kept, so
+the history is the run's record of U.  Times before t = 0 return exactly
+zero: the actuator starts from rest.
 
 The history owns the signal's break times: times where it is continuous but
 not smooth (derivative kinks).  Where a break falls on a sample, stencils
 stay on one side of it, so the cubic order survives across the kink.  The
-on-grid break indices are found again only when the buffer's origin or
-length changes.
+on-grid break indices are found once, when the history is built.
 """
 
 from __future__ import annotations
@@ -26,44 +26,39 @@ _CHUNK = 4096  # query times interpolated per vectorized pass
 
 
 class ControlHistory:
-    """Uniformly sampled scalar input with cubic interpolation.
+    """Scalar input sampled at t = 0, dt, 2 dt, ... with cubic
+    interpolation.
 
-    Single writer appends in time order; reads are pure.  `retention`
-    bounds how far back samples are kept once `trim` is called (a margin of
-    a few samples is always preserved for the interpolation stencil).
-    `breaks` lists the signal's break times; those off the sample grid are
-    ignored.
+    Single writer appends in time order; reads are pure.  `breaks` lists
+    the signal's break times; those off the sample grid, or at or before
+    t = 0, are ignored.
     """
 
-    def __init__(self, dt, t_start=0.0, retention=None, breaks=None):
+    def __init__(self, dt, breaks=None):
         if dt <= 0.0:
             raise UsageError("history sampling step must be positive")
         self.dt = float(dt)
-        self.retention = None if retention is None else float(retention)
-        self._t0 = float(t_start)  # time of buffer slot 0
         self._buf = np.empty(256)
         self._n = 0
-        self._breaks = None if breaks is None else \
-            np.atleast_1d(np.asarray(breaks, dtype=float))
-        self._kinks_at = None  # (origin, length) the kink indices are for
-        self._kinks = None
-
-    @property
-    def num_samples(self):
-        return self._n
+        self._kinks = None  # sorted sample indices of the on-grid breaks
+        if breaks is not None:
+            pos = np.atleast_1d(np.asarray(breaks, dtype=float)) / self.dt
+            kb = np.rint(pos).astype(int)
+            on_grid = np.abs(pos - kb) <= _REL_TOL
+            self._kinks = np.unique(kb[on_grid & (kb > 0)])
 
     @property
     def t_now(self):
         if self._n == 0:
             return None
-        return self._t0 + (self._n - 1) * self.dt
+        return (self._n - 1) * self.dt
 
     @property
     def values(self):
         return self._buf[:self._n]
 
     def append(self, t, value):
-        expected = self._t0 + self._n * self.dt
+        expected = self._n * self.dt
         if abs(t - expected) > _REL_TOL * max(1.0, abs(expected)):
             raise UsageError(
                 f"append at t={t} but next slot is t={expected}")
@@ -81,39 +76,13 @@ class ControlHistory:
 
     def replace_at(self, t, value):
         """Overwrite the sample recorded at time t (must be on the grid)."""
-        pos = (t - self._t0) / self.dt
+        pos = t / self.dt
         k = int(round(pos))
         if abs(pos - k) > _REL_TOL or not 0 <= k < self._n:
             raise UsageError(f"no sample at t={t}")
         self._buf[k] = float(value)
 
-    def trim(self):
-        """Lazily drop samples older than the retention window."""
-        if self.retention is None or self._n == 0:
-            return
-        cutoff = self.t_now - self.retention
-        drop = int(np.floor((cutoff - self._t0) / self.dt)) - 4
-        if drop > 0:
-            keep = self._n - drop
-            self._buf[:keep] = self._buf[drop:self._n]
-            self._n = keep
-            self._t0 += drop * self.dt
-
     # -- evaluation ---------------------------------------------------------
-
-    def _break_indices(self):
-        """Sample indices of the break times that land inside the sample
-        grid, or None without breaks; kept until an append or a trim."""
-        if self._breaks is None:
-            return None
-        if self._kinks_at != (self._t0, self._n):
-            pos = (self._breaks - self._t0) / self.dt
-            kb = np.rint(pos).astype(int)
-            on_grid = np.abs(pos - kb) <= _REL_TOL
-            self._kinks = np.unique(kb[on_grid & (kb > 0)
-                                       & (kb < self._n - 1)])
-            self._kinks_at = (self._t0, self._n)
-        return self._kinks
 
     def settled(self, thetas):
         """Mask of the times whose interpolated value is final.
@@ -122,19 +91,20 @@ class ControlHistory:
         moved to a side of a break, uses only samples already recorded and
         no break that a later sample could bring into play: appending
         samples cannot change `sample_many` there (replacing a recorded
-        sample can), as long as the buffer is not trimmed in between.
-        Nothing is settled while fewer than four samples exist.
+        sample can).  Nothing is settled while fewer than four samples
+        exist.
         """
         th = np.asarray(thetas, dtype=float)
         if self._n < 4:
             return np.zeros(th.shape, dtype=bool)
-        return np.floor((th - self._t0) / self.dt) <= self._n - 4
+        return np.floor(th / self.dt) <= self._n - 4
 
-    def _lagrange(self, tl, kinks):
+    def _lagrange(self, tl):
         """Four-point interpolation at times inside the recording (at least
-        four samples); `kinks` are the on-grid break indices or None."""
+        four samples)."""
         vals = self._buf[:self._n]
-        pos = (tl - self._t0) / self.dt
+        kinks = self._kinks
+        pos = tl / self.dt
         idx = np.minimum(np.maximum(np.floor(pos).astype(int), 0),
                          self._n - 2)
         base = np.minimum(np.maximum(idx - 1, 0), self._n - 4)
@@ -148,7 +118,6 @@ class ControlHistory:
             hi = np.where(j < kinks.size,
                           kinks[np.minimum(j, kinks.size - 1)],
                           self._n - 1)
-            lo = np.maximum(lo, 0)
             hi = np.minimum(hi - 3, self._n - 4)
             # only shift stencils where the smooth piece is wide enough to
             # hold one
@@ -171,7 +140,7 @@ class ControlHistory:
         th = np.atleast_1d(thetas)
         out = np.zeros(th.shape)
         if self._n == 0:
-            if not allow_tail_extrapolation and np.any(th > self._t0 + _REL_TOL * self.dt):
+            if not allow_tail_extrapolation and np.any(th > _REL_TOL * self.dt):
                 raise FutureQueryError("history is empty")
             return float(out[0]) if scalar else out
 
@@ -182,7 +151,7 @@ class ControlHistory:
                 f"requested t={float(np.max(th))} beyond newest sample "
                 f"t={self.t_now}")
 
-        live = th >= self._t0 - tol
+        live = th >= -tol
         if not np.any(live):
             return float(out[0]) if scalar else out
         live = slice(None) if np.all(live) else live
@@ -193,17 +162,15 @@ class ControlHistory:
             out[live] = vals[0]
         elif self._n < 4:
             # startup: fall back to the highest order the data allows
-            coef = np.polyfit(self._t0 + self.dt * np.arange(self._n),
+            coef = np.polyfit(self.dt * np.arange(self._n),
                               vals, self._n - 1)
             out[live] = np.polyval(coef, tl)
         else:
-            kinks = self._break_indices()
             flat = tl.reshape(-1)
             res = np.empty(flat.size)
             # in chunks, so a large query keeps few temporaries alive
             for lo in range(0, flat.size, _CHUNK):
-                res[lo:lo + _CHUNK] = self._lagrange(flat[lo:lo + _CHUNK],
-                                                     kinks)
+                res[lo:lo + _CHUNK] = self._lagrange(flat[lo:lo + _CHUNK])
             out[live] = res.reshape(tl.shape)
         return float(out[0]) if scalar else out
 

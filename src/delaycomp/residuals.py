@@ -294,7 +294,11 @@ def convergence_study(config, ladder, caps=None, slope_min=1.7, workers=None):
         raise ConfigError("ladder must refine monotonically in M")
     caps = dict(DEFAULT_CAPS, **(caps or {}))
 
+    if not all(0.0 < float(dt) < math.inf for _, dt in ladder):
+        raise ConfigError("every ladder rung needs a positive, finite dt")
     rung_configs = [config.with_resolution(m, dt) for m, dt in ladder]
+    for rc in rung_configs:
+        rc.validate()  # every rung is checked before the first one runs
     report = ResidualReport(ladder=[(int(m), float(dt)) for m, dt in ladder],
                             rungs=[], caps=caps, slope_min=slope_min)
     report.window_start = analysis_window_start(config, config.build()[1])

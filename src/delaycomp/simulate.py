@@ -31,8 +31,8 @@ every predictor march of the loop runs through `_BlockMarches`.
 
 Each member's march is the same sequence of RK4 intervals, on the same
 samples, as a single full march at its own step, so the block size changes
-nothing but the cost.  The history is trimmed only at block boundaries,
-which keeps the sample positions of a block on one time origin.
+nothing but the cost.  The history keeps every sample from t = 0 on and is
+the run's only record of U; the result's `controls` are a copy of it.
 
 Snapshots are emitted as triplets of consecutive steps around each stride
 multiple, giving the residual verifier central time differences at the
@@ -59,8 +59,9 @@ from .predictor import (_march, check_escape, compute_predictor,
 from .schedules import make_schedule
 
 STATE_LIMIT = 1e8
+MAX_STEPS = 10_000_000  # steps T/dt of one run; its arrays have this length
+MAX_INTERVALS = 10_000  # grid intervals M
 _BLOCK = 64  # steps whose predictor marches share one lockstep prefix sweep
-_TRIM_EVERY = 512  # steps between history trims; blocks end on a trim
 
 
 @dataclass
@@ -119,8 +120,14 @@ class ScenarioConfig:
             raise ConfigError("dt must be positive")
         if not self.horizon >= self.dt:
             raise ConfigError("T must be at least one step dt")
+        if not self.horizon / self.dt <= MAX_STEPS:
+            raise ConfigError(
+                f"T/dt = {self.horizon / self.dt:.3g} steps is more than "
+                f"{MAX_STEPS}")
         if self.num_intervals < 8:
             raise ConfigError("M must be at least 8")
+        if self.num_intervals > MAX_INTERVALS:
+            raise ConfigError(f"M must be at most {MAX_INTERVALS}")
         if self.stride < 1:
             raise ConfigError("stride must be at least 1")
         if not self.true_delay >= self.dt:
@@ -399,25 +406,19 @@ class _BlockMarches:
             true_delay, dhat, dd, ddd, uhat, phat, k)
 
 
-def run_scenario(config: ScenarioConfig, snapshot_steps=None,
-                 refine_all=False):
+def run_scenario(config: ScenarioConfig, snapshot_steps=None):
     """March the closed loop over [0, T] and collect snapshot triplets.
 
     `snapshot_steps` overrides the stride-derived emission centers (a
     sequence of step indices, each needing both neighbors inside [0, N]).
-    With `refine_all` the control fixed point is converged at every step,
-    not just at snapshot steps; this roughly doubles the cost but removes
-    the tail-extrapolation jitter from the recorded input entirely (useful
-    when high time derivatives of U are probed).  Raises BlowUpError with
-    the failure time when the state or the predictor march escapes.
+    Raises BlowUpError with the failure time when the state or the
+    predictor march escapes.
     """
     started = _time.perf_counter()
     bundle, schedule = config.build()
     model, controller = bundle.model, bundle.controller
     m, dt, D = config.num_intervals, config.dt, config.true_delay
-    n_steps = int(round(config.horizon / dt))
-    if n_steps < 1:
-        raise ConfigError("T must cover at least one step")
+    n_steps = int(round(config.horizon / dt))  # at least 1: T >= dt
 
     if snapshot_steps is None:
         centers = list(range(config.stride, n_steps, config.stride))
@@ -435,20 +436,17 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
     # start-of-history jump echoes through the loop, at multiples of the
     # true delay; keeping interpolation stencils off those points
     # preserves the cubic order of the stage inputs
-    hist = ControlHistory(dt, retention=2.0 * config.bounds().d_upper,
-                          breaks=D * np.arange(1.0, 7.0))
+    hist = ControlHistory(dt, breaks=D * np.arange(1.0, 7.0))
     half_x = grid_nodes(2 * m) - 1.0
     states = np.empty((n_steps + 1, model.dim))
-    controls = np.empty(n_steps + 1)
     times = dt * np.arange(n_steps + 1)
     snapshots = {}
     states[0] = np.atleast_1d(np.asarray(config.X0, dtype=float))
 
     k0 = 0
     while k0 <= n_steps:
-        # a block spans neither the start-up re-solve nor a history trim
-        size = 1 if k0 < 4 else min(_BLOCK, n_steps + 1 - k0,
-                                    1 + (-k0) % _TRIM_EVERY)
+        # a block does not span the start-up re-solve
+        size = 1 if k0 < 4 else min(_BLOCK, n_steps + 1 - k0)
         size = _advance_ahead(model, hist, states, k0, size, dt, D)
         marches = _BlockMarches(model, controller, hist, schedule, states,
                                 k0, size, dt, half_x)
@@ -457,7 +455,7 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
             try:
                 U = marches.control(k, extrapolate=True)
                 hist.append(t, U)
-                if refine_all or k in emit:
+                if k in emit:
                     # refine: with U(t) recorded the extrapolation is
                     # gone, so re-marching the predictor closes the loop
                     # U = kappa(p(1)); the iteration contracts fast (gain
@@ -470,11 +468,9 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
                         U = U_new
                         if done:
                             break
-                    if k in emit:
-                        snapshots[k] = marches.snapshot(k, schedule, D)
+                    snapshots[k] = marches.snapshot(k, schedule, D)
             except BlowUpError as exc:
                 raise BlowUpError(str(exc), time=t, x=exc.x) from None
-            controls[k] = U
 
             if k == 3 and 3.0 * dt <= D * (1.0 + 1e-12):
                 # the first three samples were interpolated from fewer
@@ -491,10 +487,10 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
                         Uj = _BlockMarches(
                             model, controller, hist, schedule, states, j, 1,
                             dt, half_x).control(j, extrapolate=True)
-                        delta = max(delta, abs(Uj - controls[j]))
+                        delta = max(delta, abs(Uj - hist.values[j]))
                         hist.replace_at(j * dt, Uj)
-                        controls[j] = Uj
-                    if delta <= 1e-13 * max(1.0, np.max(np.abs(controls[:4]))):
+                    if delta <= 1e-13 * max(1.0,
+                                            np.max(np.abs(hist.values))):
                         break
 
         k = k0 + size - 1
@@ -502,13 +498,11 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None,
             if not _advance(model, hist, states, k, 1, dt, D):
                 t = k * dt + dt
                 raise BlowUpError(f"state escaped at t={t:.6g}", time=t)
-            if k % _TRIM_EVERY == 0:
-                hist.trim()
         k0 = k + 1
 
     return SimulationResult(
         config=config, model=model, controller=controller,
         certificate=bundle.certificate, schedule=schedule,
-        times=times, states=states, controls=controls,
+        times=times, states=states, controls=hist.values.copy(),
         snapshots=snapshots, centers=centers,
         wall_time=_time.perf_counter() - started)

@@ -301,3 +301,59 @@ def test_package_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert str(error) in err
     assert "Traceback" not in err
+
+
+OVERSIZED = {
+    "steps-overflow": "T = 1e300\ndt = 1e-300\n",
+    "steps-finite": "T = 1e6\ndt = 1e-9\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_oversized_run_exit_2(tmp_path, capsys, command, case):
+    # the size guard reads T/dt before any array is allocated
+    cfg = write_cfg(tmp_path, BASE + OVERSIZED[case])
+    out = tmp_path / "o"
+    code = cli.main([command, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ladder", [
+    "16:0.005,32:1e-300,64:1e-300",  # T/dt too large on the finer rungs
+    "16:0,32:0.005,64:0.005",
+    "16:nan,32:0.005,64:0.005",
+])
+def test_verify_bad_rung_step_exit_2(tmp_path, capsys, ladder):
+    # every rung is checked before the first one runs
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "v"
+    code = cli.main(["verify", "--config", cfg, "--out", str(out),
+                     "--ladder", ladder])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_cell_without_window_centre_has_no_residual(tmp_path):
+    # at T = 1.5 every snapshot centre lies before the analysis window
+    # (max Dhat + margin = 1.1 s); at T = 2.5 two of them fall inside it
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                     "--set", "T=1.5,2.5"]) == 0
+    rows = (out / "aggregate.csv").read_text().splitlines()[1:]
+    residual = {row.split(",")[0]: row.split(",")[3] for row in rows}
+    assert residual["cell_T-1.5"] == "nan"
+    assert float(residual["cell_T-2.5"]) > 0.0
+    empty = json.loads((out / "cell_T-1.5" / "manifest.json").read_text())
+    full = json.loads((out / "cell_T-2.5" / "manifest.json").read_text())
+    assert empty["status"] == "ok"
+    assert "max_residual" not in empty
+    assert np.isfinite(empty["final_norm"])
+    assert full["max_residual"] == float(residual["cell_T-2.5"])

@@ -84,39 +84,33 @@ def test_breaks_off_grid_are_ignored():
         make_history(dt=0.01, t_end=2.0, breaks=[1.0033]).sample_many(theta))
 
 
-def test_break_indices_follow_a_trim():
-    # the on-grid break indices are cached per buffer origin and length;
-    # after a trim and as many appends as it dropped the length is back
-    # where it was, but the origin has moved
-    dt, kink = 0.01, 1.3
-    fn = lambda t: abs(t - kink)
-    hist = ControlHistory(dt, retention=1.0, breaks=[kink])
-    for k in range(201):
-        hist.append(k * dt, fn(k * dt))
-    before = hist.num_samples
-    theta = np.linspace(1.25, 1.95, 71)
-    hist.sample_many(theta)
-    hist.trim()
-    dropped = before - hist.num_samples
-    assert dropped > 0
-    for k in range(201, 201 + dropped):
-        hist.append(k * dt, fn(k * dt))
-    assert hist.num_samples == before
-    fresh = ControlHistory(dt, t_start=dropped * dt, breaks=[kink])
-    for k, value in enumerate(hist.values):
-        fresh.append((dropped + k) * dt, value)
-    assert np.array_equal(hist.sample_many(theta), fresh.sample_many(theta))
-    assert np.max(np.abs(hist.sample_many(theta) - fn(theta))) < 1e-12
-
-
-def test_trim_keeps_recent_window():
-    hist = ControlHistory(0.01, retention=0.5)
-    for k in range(301):
-        hist.append(k * 0.01, smooth_signal(k * 0.01))
-    hist.trim()
-    theta = np.linspace(2.6, 3.0, 57)
-    assert np.max(np.abs(hist.sample_many(theta)
-                         - smooth_signal(theta))) < 1e-9
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(4, 60),
+       inner=st.lists(st.integers(1, 58), max_size=4),
+       past=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+       before=st.lists(st.integers(-8, 0), max_size=3))
+def test_breaks_outside_the_samples_change_nothing(seed, n, inner, past,
+                                                   before):
+    # breaks at or past the newest sample, or at or before t = 0, move no
+    # stencil, with or without tail extrapolation: the history reads as
+    # one given only the breaks strictly inside its samples
+    dt = 0.01
+    rng = np.random.default_rng(seed)
+    inside = [k * dt for k in inner if k < n - 1]
+    outside = [(n - 1 + k) * dt for k in past] + [k * dt for k in before]
+    plain = ControlHistory(dt, breaks=inside)
+    padded = ControlHistory(dt, breaks=inside + outside)
+    for k, value in enumerate(rng.uniform(-1.0, 1.0, n)):
+        plain.append(k * dt, value)
+        padded.append(k * dt, value)
+    for reach in (0.0, dt):
+        thetas = np.concatenate([
+            dt * np.arange(n),
+            rng.uniform(-2.0 * dt, plain.t_now + reach, size=64)])
+        assert np.array_equal(
+            padded.sample_many(thetas, reach > 0.0),
+            plain.sample_many(thetas, reach > 0.0))
 
 
 def test_distributed_fields_boundary_values():
@@ -135,25 +129,23 @@ def test_distributed_fields_boundary_values():
        off_grid=st.floats(0.1, 0.9))
 def test_settled_samples_do_not_change_within_a_block(seed, start, blocks,
                                                       kinks, off_grid):
-    # the step loop's protocol: at each block start (after a trim) sample
-    # the settled times once; every later step of the block appends its
-    # sample and may replace it, and must read the same values there
+    # the step loop's protocol: at each block start sample the settled
+    # times once; every later step of the block appends its sample and may
+    # replace it, and must read the same values there
     dt = 0.01
     rng = np.random.default_rng(seed)
     breaks = [k * dt for k in kinks] + [(kinks[0] + off_grid) * dt] \
         if kinks else None
-    hist = ControlHistory(dt, retention=0.3, breaks=breaks)
+    hist = ControlHistory(dt, breaks=breaks)
     step = 0
     for _ in range(start):
         hist.append(step * dt, rng.uniform(-1.0, 1.0))
         step += 1
     for size in blocks:
-        hist.trim()
         thetas = hist.t_now + rng.uniform(-0.5, 1.5 * dt, size=64)
         mask = hist.settled(thetas)
-        if hist.num_samples >= 4:
-            # everything at least three steps back is settled
-            assert np.all(mask[thetas <= hist.t_now - 3.0 * dt])
+        # everything at least three steps back is settled
+        assert np.all(mask[thetas <= hist.t_now - 3.0 * dt])
         assert not np.any(mask[thetas > hist.t_now])
         first = hist.sample_many(thetas[mask])
         for _ in range(size):

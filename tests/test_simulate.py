@@ -60,11 +60,21 @@ def test_exact_estimate_gives_zero_mismatch_field():
     (dict(num_intervals=4), "M"),
     (dict(stride=0), "stride"),
     (dict(true_delay=1e-4), "D"),
+    (dict(horizon=1e300, dt=1e-300), "T/dt"),
+    (dict(dt=0.5, horizon=0.5 * simulate.MAX_STEPS + 0.5), "T/dt"),
+    (dict(num_intervals=simulate.MAX_INTERVALS + 1), "M"),
 ])
 def test_validate_rejects_bad_settings(kw, phrase):
     with pytest.raises(ConfigError) as exc:
         linear_config(**kw).validate()
     assert phrase in str(exc.value)
+
+
+def test_validate_accepts_the_size_caps():
+    # validate reads T/dt and M only, so nothing of this size is allocated;
+    # dt = 0.5 makes T/dt exact
+    linear_config(dt=0.5, horizon=0.5 * simulate.MAX_STEPS,
+                  num_intervals=simulate.MAX_INTERVALS).validate()
 
 
 def test_with_resolution_preserves_center_times():
@@ -101,43 +111,37 @@ SNAPSHOT_ARRAYS = [f.name for f in dataclasses.fields(simulate.SystemSnapshot)
                    if f.name not in ("field", "kernels")]
 
 
-def _block_pair(monkeypatch, cfg, **kw):
+def _block_pair(monkeypatch, cfg):
     assert simulate._BLOCK == 64
     runs = []
     for block in (64, 1):
         monkeypatch.setattr(simulate, "_BLOCK", block)
-        runs.append(run_scenario(cfg, **kw))
+        runs.append(run_scenario(cfg))
     assert runs[0].centers
     assert sorted(runs[0].snapshots) == sorted(runs[1].snapshots)
     return runs
 
 
-# D/dt = 125 lets blocks reach 64 steps; 600 steps cross the history trim
-# at step 512; the short delay caps blocks at a few steps
+# D/dt = 125 lets blocks reach 64 steps; the short delay caps blocks at a
+# few steps
 BLOCK_CASES = {
-    "integrator": (dict(plant="integrator", plant_params={}), {}),
-    "linear": ({}, {}),
-    "cubic": (dict(plant="cubic", plant_params={}, X0=(1.5,)), {}),
-    "cubic-refine-all": (dict(plant="cubic", plant_params={}, X0=(1.2,),
-                              schedule_kind="ramp",
-                              schedule_params=dict(base=0.45, rate=0.02),
-                              horizon=1.2),
-                         dict(refine_all=True)),
-    "linear-short-delay": (dict(true_delay=0.05, d_lower=0.03, d_upper=0.1,
-                                schedule_params=dict(base=0.05,
-                                                     amplitude=0.02,
-                                                     omega=3.0)), {}),
+    "integrator": dict(plant="integrator", plant_params={}),
+    "linear": {},
+    "cubic": dict(plant="cubic", plant_params={}, X0=(1.5,)),
+    "linear-short-delay": dict(true_delay=0.05, d_lower=0.03, d_upper=0.1,
+                               schedule_params=dict(base=0.05,
+                                                    amplitude=0.02,
+                                                    omega=3.0)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_block_size_is_invisible_on_scalar_plants(monkeypatch, case):
-    settings, run_kw = BLOCK_CASES[case]
     kw = dict(schedule_kind="sinusoid",
               schedule_params=dict(base=0.5, amplitude=0.1, omega=1.0),
               num_intervals=16, dt=4e-3, horizon=2.4, stride=40)
-    kw.update(settings)
-    blocked, single = _block_pair(monkeypatch, linear_config(**kw), **run_kw)
+    kw.update(BLOCK_CASES[case])
+    blocked, single = _block_pair(monkeypatch, linear_config(**kw))
     for name in ("times", "states", "controls"):
         assert np.array_equal(getattr(blocked, name), getattr(single, name))
     for k, snap in blocked.snapshots.items():
