@@ -19,7 +19,7 @@ from .kernels import KernelSet, eval_all
 from .plants import (Controller, DelayBounds, LyapunovCertificate,
                      PlantBundle, PlantModel, check_derivative_consistency,
                      check_lyapunov, make_cubic, make_double_integrator,
-                     make_integrator, make_linear, make_plant)
+                     make_linear, make_plant)
 from .predictor import (TransitionField, compute_predictor,
                         compute_transition_field, forcing_integral,
                         predictor_spatial_derivative)
@@ -44,7 +44,7 @@ __all__ = [
     "convergence_study", "distributed_true_input", "eval_all", "evaluate_snapshot_residuals",
     "fd_x_wide", "forcing_integral", "forward_transform", "grid_nodes",
     "inverse_transform", "load_config", "make_cubic",
-    "make_double_integrator", "make_integrator", "make_linear",
+    "make_double_integrator", "make_linear",
     "make_plant", "make_schedule", "materialize_slice", "parse_config_text",
     "predictor_spatial_derivative", "relative_mismatch", "run_scenario",
     "snapshot_field", "snapshot_kernels",

@@ -151,7 +151,7 @@ def _sweep_cell(payload):
         result = run_scenario(cfg)
         header, rows = trajectory_rows(result)
         write_csv(os.path.join(cell_dir, "trajectory.csv"), header, rows)
-        _, centers = window_centers(cfg, result)
+        centers = window_centers(cfg, result)
         status, code = "ok", EXIT_OK
         extra["final_norm"] = float(np.max(np.abs(result.states[-1])))
         if centers:  # a cell with no centre in its window has no residual
@@ -183,16 +183,19 @@ def cmd_sweep(args):
             raise ConfigError(f"--set needs key=v1,v2 form, got {setting!r}")
         key, _, vals = setting.partition("=")
         values = [v.strip() for v in vals.split(",") if v.strip()]
+        key = key.strip()
         if not values:
             raise ConfigError(f"--set {key} lists no values")
-        axes.append((key.strip(), values))
+        if key in (k for k, _ in axes):
+            raise ConfigError(f"--set {key} is given twice")
+        axes.append((key, values))
     if not axes:
         raise ConfigError("sweep needs at least one --set axis")
     out = _out_path(args, "sweep")
     root = os.path.realpath(out)
 
     # every cell is checked before any directory is made
-    cells = []
+    cells, names = [], set()
     for combo in itertools.product(*(vals for _, vals in axes)):
         overrides = {key: val for (key, _), val in zip(axes, combo)}
         cfg = base
@@ -201,6 +204,9 @@ def cmd_sweep(args):
         cfg.build()
         name = "cell_" + "_".join(
             f"{k.replace('.', '-')}-{v}" for k, v in overrides.items())
+        if name in names:
+            raise ConfigError(f"sweep cell {name!r} is listed twice")
+        names.add(name)
         cell_dir = os.path.join(out, name)
         if os.path.dirname(os.path.realpath(cell_dir)) != root:
             raise ConfigError(

@@ -7,10 +7,13 @@ derivatives that the kernel expansions consume.  Third-order data
 by central differencing of the analytic first/second derivatives, which keeps
 the kernel chain-rule expansions at FD accuracy for user-supplied plants.
 
-Every callback is array-native: it maps states of shape (..., n), and
-inputs of shape (...), to one result per leading index, so a single call
-evaluates all the grid nodes of a profile, or a batch of (K, n) states
-marched in lockstep, as well as a single (n,) state with a scalar input.
+Every callback, of the plant, the controller and the Lyapunov certificate,
+is array-native: it maps states of shape (..., n), and inputs of shape
+(...), to one result per leading index, so a single call evaluates all the
+grid nodes of a profile, or a batch of (K, n) states marched in lockstep,
+as well as a single (n,) state with a scalar input.  The two checks below
+rest on that contract: each evaluates every callback once, on all of its
+samples stacked into one (S, n) batch.
 """
 
 from __future__ import annotations
@@ -20,16 +23,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BlowUpError, UsageError
+from .errors import UsageError
 
 _FD_STEP = 1e-5
 
 
-def _as_state(X, dim):
-    X = np.atleast_1d(np.asarray(X, dtype=float))
-    if X.shape != (dim,):
-        raise UsageError(f"state has shape {X.shape}, expected ({dim},)")
-    return X
+def _stack_states(states, dim):
+    """The sampled states as one (S, n) batch; each must have shape (n,)."""
+    rows = [np.atleast_1d(np.asarray(X, dtype=float)) for X in states]
+    for X in rows:
+        if X.shape != (dim,):
+            raise UsageError(f"state has shape {X.shape}, expected ({dim},)")
+    return np.stack(rows)
 
 
 @dataclass
@@ -51,18 +56,6 @@ class PlantModel:
     d2f_dudX: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d2f_du2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d2f_dX2: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    name: str = "plant"
-
-    def eval_f(self, X, u):
-        """Evaluate f(X, u) with dimension and finiteness checks."""
-        X = _as_state(X, self.dim)
-        out = np.atleast_1d(np.asarray(self.f(X, float(u)), dtype=float))
-        if out.shape != (self.dim,):
-            raise UsageError(
-                f"f returned shape {out.shape}, expected ({self.dim},)")
-        if not np.all(np.isfinite(out)):
-            raise BlowUpError(f"non-finite f(X,u) at X={X}, u={u}")
-        return out
 
     def hess_X(self, X, u):
         """d2f/dX2 as (..., n, n, n), [..., i, j, k] = d^2 f_i / dX_j dX_k.
@@ -73,7 +66,7 @@ class PlantModel:
         X = np.asarray(X, dtype=float)
         if self.d2f_dX2 is not None:
             return np.asarray(self.d2f_dX2(X, u), dtype=float)
-        return _central_differences(lambda Y: self.df_dX(Y, u), X)
+        return _central_differences(lambda Y: self.df_dX(Y, u), X, _FD_STEP)
 
 
 @dataclass
@@ -96,14 +89,14 @@ class Controller:
         X = np.asarray(X, dtype=float)
         if self.d3kappa_dX3 is not None:
             return np.asarray(self.d3kappa_dX3(X), dtype=float)
-        return _central_differences(self.d2kappa_dX2, X)
+        return _central_differences(self.d2kappa_dX2, X, _FD_STEP)
 
 
-def _central_differences(g, X):
-    """dg/dX by central differences: for g(X) of shape (..., n, n) at
-    states X of shape (..., n), the (..., n, n, n) tensor with the
-    differentiation index last."""
-    n, h = X.shape[-1], _FD_STEP
+def _central_differences(g, X, h):
+    """dg/dX by central differences of step h: for g(X) of shape
+    (...) + s at states X of shape (..., n), the (...) + s + (n,) tensor
+    with the differentiation index last."""
+    n = X.shape[-1]
     parts = []
     for k in range(n):
         e = np.zeros(n)
@@ -116,9 +109,15 @@ def _central_differences(g, X):
 
 @dataclass
 class LyapunovCertificate:
-    """Exponential-stability certificate for the nominal closed loop."""
+    """Exponential-stability certificate for the nominal closed loop.
 
-    V: Callable[[np.ndarray], float]
+    Claims |X|^2 <= V(X) <= c1 |X|^2, |dV/dX| <= c2 |X| and
+    dV/dX . f(X, kappa(X)) <= -decay_rate V(X).  Both callbacks are
+    array-native: for states of shape (..., n), `V` gives (...) and
+    `dV_dX` (..., n).
+    """
+
+    V: Callable[[np.ndarray], np.ndarray]
     dV_dX: Callable[[np.ndarray], np.ndarray]
     decay_rate: float
     c1: float
@@ -168,103 +167,64 @@ class CheckReport:
     def passed(self):
         return all(e.passed for e in self.entries)
 
-    def entry(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
-
-def _scaled_err(analytic, fd):
-    analytic = np.asarray(analytic, dtype=float)
-    fd = np.asarray(fd, dtype=float)
-    return float(np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))))
+def _worst(errors):
+    """The largest error of a batch, at least 0; a NaN anywhere is kept,
+    so a non-finite evaluation fails its entry."""
+    return float(np.max(errors, initial=0.0))
 
 
 def check_derivative_consistency(model, controller, samples, h=1e-4, scale=10.0):
     """Compare every analytic derivative against central finite differences.
 
-    `samples` is a list of (X, u) pairs.  Each derivative passes when its
-    worst scaled error over the samples is at most ``scale * h**2``.
-    Report-only: never raises on failure.
+    `samples` is a list of (X, u) pairs.  They are stacked into one (S, n)
+    batch of states and one (S,) batch of inputs, and every derivative and
+    its finite-difference estimate is evaluated once on the batch.  Each
+    derivative passes when its worst scaled error, |analytic - fd| /
+    (1 + |analytic|), is at most ``scale * h**2``.  Report-only: never
+    raises on failure.
     """
-    n = model.dim
-    tol = scale * h * h
-    errs = {k: 0.0 for k in ("df_dX", "df_du", "d2f_dudX", "d2f_du2",
-                             "dkappa_dX", "d2kappa_dX2")}
-    for X, u in samples:
-        X = _as_state(X, n)
-        u = float(u)
-        jac = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            jac[:, j] = (model.f(X + e, u) - model.f(X - e, u)) / (2 * h)
-        errs["df_dX"] = max(errs["df_dX"], _scaled_err(model.df_dX(X, u), jac))
+    X = _stack_states([x for x, _ in samples], model.dim)
+    u = np.array([float(v) for _, v in samples])
+    f, kappa = model.f, controller.kappa
 
-        fd_du = (model.f(X, u + h) - model.f(X, u - h)) / (2 * h)
-        errs["df_du"] = max(errs["df_du"], _scaled_err(model.df_du(X, u), fd_du))
+    def f_du(Y):
+        return (f(Y, u + h) - f(Y, u - h)) / (2.0 * h)
 
-        mixed = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            mixed[:, j] = (model.f(X + e, u + h) - model.f(X + e, u - h)
-                           - model.f(X - e, u + h) + model.f(X - e, u - h)) / (4 * h * h)
-        errs["d2f_dudX"] = max(errs["d2f_dudX"],
-                               _scaled_err(model.d2f_dudX(X, u), mixed))
+    def grad(Y):
+        return _central_differences(kappa, Y, h)
 
-        fd_du2 = (model.f(X, u + h) - 2.0 * model.f(X, u) + model.f(X, u - h)) / (h * h)
-        errs["d2f_du2"] = max(errs["d2f_du2"],
-                              _scaled_err(model.d2f_du2(X, u), fd_du2))
-
-        grad = np.empty(n)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            grad[j] = (controller.kappa(X + e) - controller.kappa(X - e)) / (2 * h)
-        errs["dkappa_dX"] = max(errs["dkappa_dX"],
-                                _scaled_err(controller.dkappa_dX(X), grad))
-
-        hess = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                hess[i, j] = (controller.kappa(X + ei + ej)
-                              - controller.kappa(X + ei - ej)
-                              - controller.kappa(X - ei + ej)
-                              + controller.kappa(X - ei - ej)) / (4 * h * h)
-        errs["d2kappa_dX2"] = max(errs["d2kappa_dX2"],
-                                  _scaled_err(controller.d2kappa_dX2(X), hess))
-
-    report = CheckReport()
-    for name, err in errs.items():
-        report.entries.append(CheckEntry(name, err, tol))
-    return report
+    pairs = {
+        "df_dX": (model.df_dX(X, u),
+                  _central_differences(lambda Y: f(Y, u), X, h)),
+        "df_du": (model.df_du(X, u), f_du(X)),
+        "d2f_dudX": (model.d2f_dudX(X, u), _central_differences(f_du, X, h)),
+        "d2f_du2": (model.d2f_du2(X, u),
+                    (f(X, u + h) - 2.0 * f(X, u) + f(X, u - h)) / (h * h)),
+        "dkappa_dX": (controller.dkappa_dX(X), grad(X)),
+        "d2kappa_dX2": (controller.d2kappa_dX2(X),
+                        _central_differences(grad, X, h)),
+    }
+    return CheckReport([
+        CheckEntry(name, _worst(np.abs(a - fd) / (1.0 + np.abs(a))),
+                   scale * h * h) for name, (a, fd) in pairs.items()])
 
 
 def check_lyapunov(cert, model, controller, samples, tol=1e-12):
-    """Verify the three certificate inequalities at each sampled state."""
-    report = CheckReport()
-    e_bounds = 0.0
-    e_grad = 0.0
-    e_decay = 0.0
-    for X in samples:
-        X = _as_state(X, model.dim)
-        n2 = float(X @ X)
-        v = float(cert.V(X))
-        dv = np.atleast_1d(np.asarray(cert.dV_dX(X), dtype=float))
-        e_bounds = max(e_bounds, n2 - v, v - cert.c1 * n2)
-        e_grad = max(e_grad, float(np.linalg.norm(dv)) - cert.c2 * np.sqrt(n2))
-        vdot = float(dv @ model.eval_f(X, controller.kappa(X)))
-        e_decay = max(e_decay, vdot + cert.decay_rate * v)
-    report.entries.append(CheckEntry("squeeze_bounds", e_bounds, tol))
-    report.entries.append(CheckEntry("gradient_bound", e_grad, tol))
-    report.entries.append(CheckEntry("decay_inequality", e_decay, tol))
-    return report
+    """Verify the three certificate inequalities on the batch of sampled
+    states, stacked into one (S, n) array."""
+    X = _stack_states(samples, model.dim)
+    n2 = np.sum(X * X, axis=-1)
+    v = np.asarray(cert.V(X), dtype=float)
+    dv = np.asarray(cert.dV_dX(X), dtype=float)
+    vdot = np.sum(dv * model.f(X, controller.kappa(X)), axis=-1)
+    errors = {
+        "squeeze_bounds": np.maximum(n2 - v, v - cert.c1 * n2),
+        "gradient_bound": np.linalg.norm(dv, axis=-1) - cert.c2 * np.sqrt(n2),
+        "decay_inequality": vdot + cert.decay_rate * v,
+    }
+    return CheckReport([CheckEntry(name, _worst(err), tol)
+                        for name, err in errors.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -295,36 +255,9 @@ def _coord(X, i):
 
 def _square_certificate(decay_rate):
     """V = X^2 for a scalar plant."""
-    return LyapunovCertificate(
-        V=lambda X: float(X[0] ** 2),
-        dV_dX=lambda X: np.array([2.0 * X[0]]),
-        decay_rate=decay_rate,
-        c1=1.0,
-        c2=2.0,
-    )
-
-
-def make_integrator():
-    """Scalar integrator Xdot = v with kappa = -X, V = X^2."""
-    model = PlantModel(
-        dim=1,
-        f=lambda X, u: np.broadcast_to(
-            np.asarray(u, dtype=float), np.shape(X)[:-1])[..., None].copy(),
-        df_dX=_zeros(1, 1),
-        df_du=_constant([1.0]),
-        d2f_dudX=_zeros(1, 1),
-        d2f_du2=_zeros(1),
-        d2f_dX2=_zeros(1, 1, 1),
-        name="integrator",
-    )
-    ctrl = Controller(
-        dim=1,
-        kappa=lambda X: -_coord(X, 0),
-        dkappa_dX=_constant([-1.0]),
-        d2kappa_dX2=_zeros(1, 1),
-        d3kappa_dX3=_zeros(1, 1, 1),
-    )
-    return PlantBundle(model, ctrl, _square_certificate(2.0 * 0.999))
+    return LyapunovCertificate(V=lambda X: X[..., 0] * X[..., 0],
+                               dV_dX=lambda X: 2.0 * X,
+                               decay_rate=decay_rate, c1=1.0, c2=2.0)
 
 
 def make_linear(a=1.0, b=1.0, k=2.0):
@@ -338,7 +271,6 @@ def make_linear(a=1.0, b=1.0, k=2.0):
         d2f_dudX=_zeros(1, 1),
         d2f_du2=_zeros(1),
         d2f_dX2=_zeros(1, 1, 1),
-        name="linear",
     )
     ctrl = Controller(
         dim=1,
@@ -376,7 +308,6 @@ def make_cubic():
         d2f_dudX=_zeros(1, 1),
         d2f_du2=_zeros(1),
         d2f_dX2=lambda X, u: (-6.0 * X[..., 0])[..., None, None, None],
-        name="cubic",
     )
     ctrl = Controller(
         dim=1,
@@ -408,7 +339,6 @@ def make_double_integrator():
         d2f_dudX=_zeros(2, 2),
         d2f_du2=_zeros(2),
         d2f_dX2=_zeros(2, 2, 2),
-        name="double_integrator",
     )
     ctrl = Controller(
         dim=2,
@@ -423,17 +353,15 @@ def make_double_integrator():
     lam_max = float(np.max(np.linalg.eigvalsh(Pn)))
     decay = (1.0 / lam_min) / lam_max  # Vdot = -|X|^2 / lam_min <= -decay V
     cert = LyapunovCertificate(
-        V=lambda X: float(X @ Pn @ X),
-        dV_dX=lambda X: 2.0 * (Pn @ X),
-        decay_rate=decay * 0.999,
-        c1=lam_max,
-        c2=2.0 * lam_max,
-    )
+        V=lambda X: np.einsum("...i,ij,...j->...", X, Pn, X),
+        dV_dX=lambda X: 2.0 * (X @ Pn),
+        decay_rate=decay * 0.999, c1=lam_max, c2=2.0 * lam_max)
     return PlantBundle(model, ctrl, cert)
 
 
 PLANT_REGISTRY = {
-    "integrator": make_integrator,
+    # Xdot = v with kappa = -X and V = X^2
+    "integrator": lambda: make_linear(a=0.0, b=1.0, k=1.0),
     "linear": make_linear,
     "cubic": make_cubic,
     "double_integrator": make_double_integrator,

@@ -133,7 +133,6 @@ class TransitionField:
     """Phi(x_i, 0) at every node, plus cached inverses for composition."""
 
     matrices: np.ndarray  # (M+1, n, n)
-    dhat: float
     _inverses: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -160,7 +159,7 @@ def compute_transition_field(model, phat, uhat, dhat):
         return dhat * (A[ih] @ Phi)
 
     mats = _march(rhs, np.eye(n), uhat.num_intervals)
-    return TransitionField(matrices=mats, dhat=float(dhat))
+    return TransitionField(matrices=mats)
 
 
 def forcing_integral(model, controller, phat, uhat, what_x, fieldobj, dhat):

@@ -146,7 +146,6 @@ class RungResult:
     dt: float
     max_norms: dict
     l2_norms: dict
-    window: tuple
     sample_times: list
 
 
@@ -234,17 +233,16 @@ def analysis_window_start(config, schedule):
 
 
 def window_centers(config, result):
-    """(start, centers): the analysis window's start and the run's snapshot
-    centers inside [start, T - dt]."""
+    """The run's snapshot centers inside the analysis window [start, T - dt]."""
     start = analysis_window_start(config, result.schedule)
-    return start, [c for c in result.centers
-                   if start <= result.times[c] <= config.horizon - config.dt]
+    return [c for c in result.centers
+            if start <= result.times[c] <= config.horizon - config.dt]
 
 
 def _rung_norms(config):
     """Run one ladder rung and aggregate residual norms over the window."""
     result = run_scenario(config)
-    start, centers = window_centers(config, result)
+    centers = window_centers(config, result)
     if not centers:
         raise ConfigError(
             "no snapshot centers inside the analysis window; extend T or "
@@ -263,7 +261,6 @@ def _rung_norms(config):
             l2_norms[name] = max(l2_norms.get(name, 0.0), l2)
     return RungResult(num_intervals=config.num_intervals, dt=config.dt,
                       max_norms=max_norms, l2_norms=l2_norms,
-                      window=(start, config.horizon),
                       sample_times=[float(result.times[c]) for c in centers])
 
 

@@ -237,6 +237,42 @@ def test_sweep_bad_axis_value_exit_2(tmp_path):
     assert code == 2
 
 
+DUPLICATE_CELLS = {
+    "key-in-two-axes": ["--set", "M=16,20", "--set", "M=24"],
+    "value-twice-in-one-axis": ["--set", "M=16,16"],
+    "key-twice-with-spaces": ["--set", "plant.k=1.5",
+                              "--set", " plant.k =2.0"],
+}
+
+
+@pytest.mark.parametrize("argv", DUPLICATE_CELLS.values(),
+                         ids=DUPLICATE_CELLS.keys())
+def test_sweep_duplicate_cell_exit_2(tmp_path, capsys, argv):
+    # two cells that would share one directory are refused before any
+    # directory is made
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "s"
+    code = cli.main(["sweep", "--config", cfg, "--out", str(out)] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "twice" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integrator_takes_no_plant_parameters(tmp_path, capsys):
+    # the integrator is the linear plant with a, b and k fixed
+    text = BASE.replace("plant = linear", "plant = integrator").replace(
+        "plant.a = 1.0\nplant.b = 1.0\nplant.k = 2.0\n", "plant.a = 2\n")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    code = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "plant parameters" in err and "'a'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("registered", [False, True],
                          ids=["unknown-plant", "registered-plant"])
 def test_sweep_cell_outside_root_exit_2(tmp_path, capsys, monkeypatch,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycomp import ControlHistory, distributed_true_input
+from delaycomp.grid import lagrange4
 from delaycomp.errors import FutureQueryError, UsageError
 from conftest import make_history, smooth_signal
 
@@ -75,6 +76,21 @@ def test_breaks_keep_stencils_one_sided():
     exact = np.abs(theta - kink)
     assert np.max(np.abs(plain - exact)) > 1e-4
     assert np.max(np.abs(aware - exact)) < 1e-12
+
+
+def test_breaks_take_the_nearest_one_sided_stencil():
+    # a signal that no stencil reproduces exactly, smooth on each side of
+    # a kink at sample 100: a query on either side reads the four samples
+    # nearest to it that do not cross the kink
+    dt, kink = 0.01, 100
+    fn = lambda t: np.sin(3.0 * t) if t <= 1.0 else \
+        np.sin(3.0) + np.sin(5.0 * (t - 1.0))
+    hist = make_history(fn=fn, dt=dt, t_end=2.0, breaks=[kink * dt])
+    vals = np.array([fn(k * dt) for k in range(201)])
+    for theta, base in ((0.995, kink - 3), (0.985, kink - 3),
+                        (1.005, kink), (1.015, kink)):
+        expect = lagrange4(theta / dt - base, *vals[base:base + 4])
+        assert abs(hist.sample_many(theta) - expect) < 1e-15
 
 
 def test_breaks_off_grid_are_ignored():

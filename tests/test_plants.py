@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,10 +53,83 @@ def test_linear_without_stabilizing_gain_has_no_certificate():
     assert make_plant("linear", a=1.0, b=1.0, k=2.0).certificate is not None
 
 
-def test_eval_f_checks_state_shape():
+@pytest.mark.parametrize("name", PLANTS)
+def test_batch_checks_report_the_worst_single_sample(name):
+    # each check on the stacked batch reports what the worst of its
+    # one-sample checks reports
+    bundle = make_plant(name)
+    model, ctrl, cert = bundle.model, bundle.controller, bundle.certificate
+    rng = np.random.default_rng(11)
+    states = sample_states(model.dim, rng)
+    pairs = [(X, float(rng.uniform(-1.0, 1.0))) for X in states]
+    for check, samples in (
+            (lambda s: check_derivative_consistency(model, ctrl, s), pairs),
+            (lambda s: check_lyapunov(cert, model, ctrl, s), states)):
+        batch = check(samples).entries
+        singles = [check([s]).entries for s in samples]
+        for k, entry in enumerate(batch):
+            worst = max(one[k].max_error for one in singles)
+            assert np.isclose(entry.max_error, worst, rtol=1e-12, atol=0)
+
+
+DERIVATIVES = ("df_dX", "df_du", "d2f_dudX", "d2f_du2", "dkappa_dX",
+               "d2kappa_dX2")
+
+
+def off_by(fn, delta):
+    return lambda *args: np.asarray(fn(*args), dtype=float) + delta
+
+
+@pytest.mark.parametrize("name", PLANTS)
+@pytest.mark.parametrize("wrong", DERIVATIVES)
+def test_derivative_check_fails_only_the_wrong_entry(name, wrong):
+    bundle = make_plant(name)
+    model, ctrl = bundle.model, bundle.controller
+    if hasattr(model, wrong):
+        model = dataclasses.replace(
+            model, **{wrong: off_by(getattr(model, wrong), 1e-3)})
+    else:
+        ctrl = dataclasses.replace(
+            ctrl, **{wrong: off_by(getattr(ctrl, wrong), 1e-3)})
+    rng = np.random.default_rng(7)
+    samples = [(X, float(rng.uniform(-1.0, 1.0)))
+               for X in sample_states(model.dim, rng)]
+    report = check_derivative_consistency(model, ctrl, samples)
+    failed = [e.name for e in report.entries if not e.passed]
+    assert failed == [wrong]
+    assert [e.name for e in report.entries] == list(DERIVATIVES)
+
+
+CERTIFICATE_FAULTS = [("decay_rate", 4.0, "decay_inequality"),
+                      ("c1", 0.25, "squeeze_bounds"),
+                      ("c2", 0.25, "gradient_bound")]
+
+
+@pytest.mark.parametrize("name", PLANTS)
+@pytest.mark.parametrize("constant,factor,inequality", CERTIFICATE_FAULTS,
+                         ids=[c for c, _, _ in CERTIFICATE_FAULTS])
+def test_lyapunov_check_fails_a_wrong_constant(name, constant, factor,
+                                               inequality):
+    bundle = make_plant(name)
+    cert = bundle.certificate
+    cert = dataclasses.replace(
+        cert, **{constant: factor * getattr(cert, constant)})
+    rng = np.random.default_rng(3)
+    report = check_lyapunov(cert, bundle.model, bundle.controller,
+                            sample_states(bundle.model.dim, rng), tol=1e-9)
+    failed = [e.name for e in report.entries if not e.passed]
+    assert failed == [inequality]
+
+
+def test_checks_reject_a_state_of_the_wrong_shape():
     bundle = make_plant("double_integrator")
+    good = np.zeros(2)
     with pytest.raises(UsageError):
-        bundle.model.eval_f(np.zeros(3), 0.0)
+        check_derivative_consistency(bundle.model, bundle.controller,
+                                     [(good, 0.0), (np.zeros(3), 0.0)])
+    with pytest.raises(UsageError):
+        check_lyapunov(bundle.certificate, bundle.model, bundle.controller,
+                       [good, np.zeros(3)])
 
 
 def test_hess_fallback_matches_analytic():
@@ -101,6 +176,22 @@ def test_callbacks_broadcast_over_leading_axes(name):
                                  else fn(X[i, j]))
                 assert batch.shape == (3, 4) + one.shape
                 assert np.array_equal(batch[i, j], one), fn
+
+
+@pytest.mark.parametrize("name", PLANTS)
+def test_certificate_broadcasts_over_leading_axes(name):
+    # V gives (...) and dV_dX (..., n); a row may differ from a single call
+    # by the summation order of the quadratic form
+    bundle = make_plant(name)
+    cert, n = bundle.certificate, bundle.model.dim
+    X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 4, n))
+    v, dv = cert.V(X), cert.dV_dX(X)
+    assert v.shape == (3, 4) and dv.shape == (3, 4, n)
+    for i in range(3):
+        for j in range(4):
+            assert np.isclose(v[i, j], cert.V(X[i, j]), rtol=1e-14, atol=0)
+            assert np.allclose(dv[i, j], cert.dV_dX(X[i, j]), rtol=1e-14,
+                               atol=0)
 
 
 def test_fd_fallbacks_broadcast():

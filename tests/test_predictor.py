@@ -157,7 +157,7 @@ def test_transition_semigroup_composition():
 def test_ill_conditioned_transition_rejected():
     mats = np.tile(np.eye(2), (33, 1, 1))
     mats[5] = [[1.0, 1.0], [1.0, 1.0 + 1e-15]]
-    fld = TransitionField(matrices=mats, dhat=0.5)
+    fld = TransitionField(matrices=mats)
     with pytest.raises(IllConditionedTransitionError):
         fld.inverses
 
