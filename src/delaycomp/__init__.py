@@ -27,8 +27,8 @@ from .residuals import (ResidualReport, convergence_study,
                         evaluate_snapshot_residuals)
 from .schedules import DelaySchedule, make_schedule, relative_mismatch
 from .simulate import (ScenarioConfig, SimulationResult, SystemSnapshot,
-                       materialize_slice, run_scenario, snapshot_field,
-                       snapshot_kernels)
+                       materialize_slice, run_ensemble, run_scenario,
+                       snapshot_field, snapshot_kernels)
 
 __version__ = "0.1.0"
 
@@ -46,6 +46,7 @@ __all__ = [
     "inverse_transform", "load_config", "make_cubic",
     "make_double_integrator", "make_linear",
     "make_plant", "make_schedule", "materialize_slice", "parse_config_text",
-    "predictor_spatial_derivative", "relative_mismatch", "run_scenario",
+    "predictor_spatial_derivative", "relative_mismatch", "run_ensemble",
+    "run_scenario",
     "snapshot_field", "snapshot_kernels",
 ]

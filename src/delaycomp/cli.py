@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ from .residuals import (convergence_study, evaluate_snapshot_residuals,
                         window_centers)
 from .serialize import (snapshot_meta, snapshot_rows, trajectory_rows,
                         versions, write_csv, write_json)
-from .simulate import run_scenario, snapshot_kernels
+from .simulate import run_ensemble, run_scenario, snapshot_kernels
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,21 +144,35 @@ def cmd_verify(args):
 
 
 def _sweep_cell(payload):
-    cfg, cell_dir, overrides = payload
+    """Run one chunk of sweep cells, [(cfg, cell_dir, overrides), ...], as
+    one lockstep ensemble and write each cell's files; returns one outcome
+    per cell.  A cell's `wall_time` is its share of the ensemble's time
+    plus its own residuals and files."""
+    started = time.perf_counter()
+    runs = run_ensemble([cfg for cfg, _, _ in payload])
+    share = (time.perf_counter() - started) / len(payload)
+    return [_finish_cell(run, share, *cell)
+            for run, cell in zip(runs, payload)]
+
+
+def _finish_cell(run, share, cfg, cell_dir, overrides):
+    """Write one cell's trajectory and manifest from its ensemble row (a
+    SimulationResult or the BlowUpError it raised)."""
     started = time.perf_counter()
     os.makedirs(cell_dir, exist_ok=True)
     extra = {"overrides": overrides}
     try:
-        result = run_scenario(cfg)
-        header, rows = trajectory_rows(result)
+        if isinstance(run, BlowUpError):
+            raise run
+        header, rows = trajectory_rows(run)
         write_csv(os.path.join(cell_dir, "trajectory.csv"), header, rows)
-        centers = window_centers(cfg, result)
+        centers = window_centers(cfg, run)
         status, code = "ok", EXIT_OK
-        extra["final_norm"] = float(np.max(np.abs(result.states[-1])))
+        extra["final_norm"] = float(np.max(np.abs(run.states[-1])))
         if centers:  # a cell with no centre in its window has no residual
             max_res = 0.0
             for c in centers:
-                res = evaluate_snapshot_residuals(result, c)
+                res = evaluate_snapshot_residuals(run, c)
                 for val in res.values():
                     max_res = max(max_res, float(np.max(np.abs(val))))
             extra["max_residual"] = max_res
@@ -168,8 +183,9 @@ def _sweep_cell(payload):
             np.linalg.LinAlgError) as exc:
         status, code = "numeric", EXIT_NUMERIC
         extra["failure"] = str(exc)
+    wall = share + time.perf_counter() - started
     write_json(os.path.join(cell_dir, "manifest.json"),
-               _manifest(cfg, status, time.perf_counter() - started, extra))
+               _manifest(cfg, status, wall, extra))
     return {"status": status, "code": code,
             "final_norm": extra.get("final_norm", float("nan")),
             "max_residual": extra.get("max_residual", float("nan"))}
@@ -195,7 +211,7 @@ def cmd_sweep(args):
     root = os.path.realpath(out)
 
     # every cell is checked before any directory is made
-    cells, names = [], set()
+    cells, names, scenarios = [], set(), {}
     for combo in itertools.product(*(vals for _, vals in axes)):
         overrides = {key: val for (key, _), val in zip(axes, combo)}
         cfg = base
@@ -207,6 +223,12 @@ def cmd_sweep(args):
         if name in names:
             raise ConfigError(f"sweep cell {name!r} is listed twice")
         names.add(name)
+        resolved = json.dumps(config_to_dict(cfg), sort_keys=True)
+        if resolved in scenarios:
+            raise ConfigError(
+                f"sweep cells {scenarios[resolved]!r} and {name!r} resolve "
+                f"to the same scenario")
+        scenarios[resolved] = name
         cell_dir = os.path.join(out, name)
         if os.path.dirname(os.path.realpath(cell_dir)) != root:
             raise ConfigError(
@@ -215,13 +237,26 @@ def cmd_sweep(args):
         cells.append((cfg, cell_dir, overrides, name))
     os.makedirs(out, exist_ok=True)
 
-    payloads = [(cfg, d, ov) for cfg, d, ov, _ in cells]
-    if args.workers and args.workers > 1:
+    # cells that share plant and grid run as one lockstep ensemble, in
+    # chunks small enough to give every worker a share
+    groups = {}
+    for i, (cfg, _, _, _) in enumerate(cells):
+        groups.setdefault(cfg.ensemble_key(), []).append(i)
+    workers = args.workers if args.workers and args.workers > 1 else 1
+    most = -(-len(cells) // workers)
+    chunks = [list(part) for group in groups.values()
+              for part in np.array_split(group, -(-len(group) // most))]
+    payloads = [[cells[i][:3] for i in chunk] for chunk in chunks]
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(_sweep_cell, payloads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_sweep_cell, payloads))
     else:
-        outcomes = [_sweep_cell(p) for p in payloads]
+        done = [_sweep_cell(p) for p in payloads]
+    outcomes = [None] * len(cells)
+    for chunk, results in zip(chunks, done):
+        for i, outcome in zip(chunk, results):
+            outcomes[i] = outcome
 
     keys = [k for k, _ in axes]
     rows = []

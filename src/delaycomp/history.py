@@ -8,6 +8,12 @@ rely on.  Samples sit at t = 0, dt, 2 dt, ... and every one is kept, so
 the history is the run's record of U.  Times before t = 0 return exactly
 zero: the actuator starts from rest.
 
+A history built with `rows=K` records K signals on the same time grid, one
+per scenario of a lockstep ensemble (see `simulate.run_ensemble`): each
+append or replacement takes K values, and one `sample_many` call reads any
+mix of rows and times.  Each query is interpolated exactly as the same
+query on a one-signal history of that row's samples.
+
 The history owns the signal's break times: times where it is continuous but
 not smooth (derivative kinks).  Where a break falls on a sample, stencils
 stay on one side of it, so the cubic order survives across the kink.  The
@@ -31,14 +37,16 @@ class ControlHistory:
 
     Single writer appends in time order; reads are pure.  `breaks` lists
     the signal's break times; those off the sample grid, or at or before
-    t = 0, are ignored.
+    t = 0, are ignored.  With `rows=K` the history records K signals that
+    share the time grid and the breaks, and `values` is (K, samples).
     """
 
-    def __init__(self, dt, breaks=None):
+    def __init__(self, dt, breaks=None, rows=None):
         if dt <= 0.0:
             raise UsageError("history sampling step must be positive")
         self.dt = float(dt)
-        self._buf = np.empty(256)
+        self.rows = rows
+        self._buf = np.empty((1 if rows is None else int(rows), 256))
         self._n = 0
         self._kinks = None  # sorted sample indices of the on-grid breaks
         if breaks is not None:
@@ -55,24 +63,35 @@ class ControlHistory:
 
     @property
     def values(self):
-        return self._buf[:self._n]
+        vals = self._buf[:, :self._n]
+        return vals[0] if self.rows is None else vals
+
+    def _column(self, value):
+        """One sample per row: a number, or K numbers for K rows."""
+        col = np.asarray(value, dtype=float)
+        if col.shape != (() if self.rows is None else (self.rows,)):
+            raise UsageError(
+                f"a sample of {self.rows or 1} row(s) needs one value per "
+                f"row, got shape {col.shape}")
+        return col
 
     def append(self, t, value):
         expected = self._n * self.dt
         if abs(t - expected) > _REL_TOL * max(1.0, abs(expected)):
             raise UsageError(
                 f"append at t={t} but next slot is t={expected}")
-        if self._n == self._buf.shape[0]:
-            grown = np.empty(2 * self._n)
-            grown[:self._n] = self._buf
+        col = self._column(value)
+        if self._n == self._buf.shape[1]:
+            grown = np.empty((self._buf.shape[0], 2 * self._n))
+            grown[:, :self._n] = self._buf
             self._buf = grown
-        self._buf[self._n] = float(value)
+        self._buf[:, self._n] = col
         self._n += 1
 
     def replace_last(self, value):
         if self._n == 0:
             raise UsageError("no sample to replace")
-        self._buf[self._n - 1] = float(value)
+        self._buf[:, self._n - 1] = self._column(value)
 
     def replace_at(self, t, value):
         """Overwrite the sample recorded at time t (must be on the grid)."""
@@ -80,7 +99,12 @@ class ControlHistory:
         k = int(round(pos))
         if abs(pos - k) > _REL_TOL or not 0 <= k < self._n:
             raise UsageError(f"no sample at t={t}")
-        self._buf[k] = float(value)
+        self._buf[:, k] = self._column(value)
+
+    def keep_rows(self, keep):
+        """Drop the rows where the boolean mask `keep` is False."""
+        self._buf = self._buf[keep]
+        self.rows = self._buf.shape[0]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -90,19 +114,23 @@ class ControlHistory:
         A time is settled when its interpolation stencil, including one
         moved to a side of a break, uses only samples already recorded and
         no break that a later sample could bring into play: appending
-        samples cannot change `sample_many` there (replacing a recorded
-        sample can).  Nothing is settled while fewer than four samples
-        exist.
+        samples cannot change `sample_many` there.  Replacing a recorded
+        sample can, and that includes the newest one: where a break sits
+        at sample index n - 4, the stencil of a settled time just after it
+        is moved onto samples n - 4 .. n - 1.  So a caller that keeps
+        settled values must sample them once the newest sample is final.
+        Nothing is settled while fewer than four samples exist.
         """
         th = np.asarray(thetas, dtype=float)
         if self._n < 4:
             return np.zeros(th.shape, dtype=bool)
         return np.floor(th / self.dt) <= self._n - 4
 
-    def _lagrange(self, tl):
+    def _lagrange(self, tl, off):
         """Four-point interpolation at times inside the recording (at least
-        four samples)."""
-        vals = self._buf[:self._n]
+        four samples); `off` is each query's row offset into the flat
+        buffer, or None for row 0."""
+        vals = self._buf.reshape(-1)
         kinks = self._kinks
         pos = tl / self.dt
         idx = np.minimum(np.maximum(np.floor(pos).astype(int), 0),
@@ -123,10 +151,13 @@ class ControlHistory:
             # hold one
             ok = lo <= hi
             base = np.where(ok, np.clip(base, lo, np.maximum(hi, 0)), base)
-        return lagrange4(pos - base, vals[base], vals[base + 1],
-                         vals[base + 2], vals[base + 3])
+        s = pos - base
+        if off is not None:
+            base = base + off
+        return lagrange4(s, vals[base], vals[base + 1], vals[base + 2],
+                         vals[base + 3])
 
-    def sample_many(self, thetas, allow_tail_extrapolation=False):
+    def sample_many(self, thetas, allow_tail_extrapolation=False, rows=None):
         """Vectorized U(theta); exactly the stored value at sample times.
 
         Zero before the first sample.  Querying past the newest sample
@@ -134,6 +165,11 @@ class ControlHistory:
         final interpolation stencil is extended by up to one step (used by
         the simulator while the current control value is still being
         computed).  Stencils stay on one side of the on-grid breaks.
+
+        In a history of several rows, `rows` (an integer array that
+        broadcasts against `thetas`) names the row each query reads; by
+        default the leading axis of `thetas` runs over the rows.  A history
+        of one row reads it for every query.
         """
         thetas = np.asarray(thetas, dtype=float)
         scalar = thetas.ndim == 0
@@ -156,21 +192,34 @@ class ControlHistory:
             return float(out[0]) if scalar else out
         live = slice(None) if np.all(live) else live
         tl = th[live]
-        vals = self._buf[:self._n]
+        k_rows, cap = self._buf.shape
+        off = None
+        if k_rows > 1:
+            if rows is None:
+                rows = np.arange(k_rows).reshape((-1,) + (1,) * (th.ndim - 1))
+            off = (np.broadcast_to(rows, th.shape) * cap)[live]
 
         if self._n == 1:
-            out[live] = vals[0]
+            out[live] = self._buf.reshape(-1)[0 if off is None else off]
         elif self._n < 4:
-            # startup: fall back to the highest order the data allows
-            coef = np.polyfit(self.dt * np.arange(self._n),
-                              vals, self._n - 1)
-            out[live] = np.polyval(coef, tl)
+            # startup: fall back to the highest order the data allows, one
+            # fit per row
+            res = np.empty(tl.shape)
+            for r in range(k_rows):
+                pick = slice(None) if off is None else off == r * cap
+                coef = np.polyfit(self.dt * np.arange(self._n),
+                                  self._buf[r, :self._n], self._n - 1)
+                res[pick] = np.polyval(coef, tl[pick])
+            out[live] = res
         else:
             flat = tl.reshape(-1)
+            offs = None if off is None else off.reshape(-1)
             res = np.empty(flat.size)
             # in chunks, so a large query keeps few temporaries alive
             for lo in range(0, flat.size, _CHUNK):
-                res[lo:lo + _CHUNK] = self._lagrange(flat[lo:lo + _CHUNK])
+                res[lo:lo + _CHUNK] = self._lagrange(
+                    flat[lo:lo + _CHUNK],
+                    None if offs is None else offs[lo:lo + _CHUNK])
             out[live] = res.reshape(tl.shape)
         return float(out[0]) if scalar else out
 

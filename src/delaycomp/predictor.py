@@ -11,10 +11,12 @@ rule on the nearest nodes (`GridProfile.interpolant`), local in space.
 
 `_march` runs the RK4 sweep.  Its state may carry a leading member axis,
 so several marches advance in lockstep through one sweep (the closed-loop
-simulator uses this for the known prefixes of a block of steps, see
-`simulate`), and it can start and stop at interior nodes.  Blow-up is
-checked once per march, after the sweep, by locating the first node that
-left the finite range.
+simulator uses this for the known prefixes of a block of steps, and for
+the tails of all the scenarios of an ensemble, see `simulate`), and it can
+start and stop at interior nodes.  Blow-up is checked once per march,
+after the sweep, by locating the first node that left the finite range
+(`check_escape`); the caller checks, because only it knows which members
+belong to one scenario.
 
 The transition field collects Phi(x_i, 0) for the space-varying equation
 dr/dx = Dhat (df/dX)(p(x), uhat(x)) r, from which Phi(x, y) is composed as
@@ -42,15 +44,13 @@ def _march(rhs, y0, num_intervals, start=0, stops=None):
     `rhs` receives the half-grid index (2M+1 points) of the stage, so node
     and midpoint samples are looked up from precomputed arrays.  The march
     starts from `y0` at node `start` and returns the states at nodes
-    start..M, after checking once that none left the finite range
-    (BlowUpError naming the first node that did).
+    start..M, unchecked: non-finite values propagate without warnings.
 
     Lockstep form: with `stops`, `y0` is (K, n), one row per member, and
     member k stops at node stops[k]; `stops` must not increase along the
     rows, so the members still marching are always a leading block of
     rows, and `rhs` gets that block.  The result is (nodes, K, n) with the
-    entries past a member's stop left unset, and the escape check is left
-    to the caller, which knows each member's place in step order.
+    entries past a member's stop left unset.
     """
     h = 1.0 / num_intervals
     if stops is None:
@@ -72,8 +72,6 @@ def _march(rhs, y0, num_intervals, start=0, stops=None):
             k3 = rhs(2 * i + 1, yi + 0.5 * h * k2)
             k4 = rhs(2 * i + 2, yi + h * k3)
             y[r + 1, rows] = yi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if stops is None:
-        check_escape(y, num_intervals, start)
     return y
 
 
@@ -115,7 +113,9 @@ def compute_predictor(model, X, uhat, dhat):
     def rhs(ih, p):
         return dhat * model.f(p, uh[ih])
 
-    return GridProfile(_march(rhs, X, m))
+    p = _march(rhs, X, m)
+    check_escape(p, m)
+    return GridProfile(p)
 
 
 def predictor_spatial_derivative(model, phat, uhat, dhat):
@@ -159,6 +159,7 @@ def compute_transition_field(model, phat, uhat, dhat):
         return dhat * (A[ih] @ Phi)
 
     mats = _march(rhs, np.eye(n), uhat.num_intervals)
+    check_escape(mats, uhat.num_intervals)
     return TransitionField(matrices=mats)
 
 

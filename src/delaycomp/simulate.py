@@ -11,28 +11,42 @@ from a one-step tail extrapolation of the history, and refined by
 re-marching at snapshot steps so that the recorded boundary identity
 w(1, t) = 0 holds to roundoff.
 
+There is one step loop, `run_ensemble`, and it runs K scenarios (rows) at
+once.  The rows share the plant, M, dt, T, the snapshot steps and D, so
+they share the blocks, the break times and the start-up re-solve; each
+has its own X0 and delay-estimate schedule, so its own Dhat.  The history
+records U with a leading row axis, the states are (K, steps, n), and
+every march, sample and plant step below takes all rows in one call.
+`run_scenario` is the one-row case.  A row whose state or predictor
+escapes leaves the ensemble with the error it raises alone; the other
+rows run on.
+
 Steps are processed in blocks of up to `_BLOCK` consecutive steps:
 
-* block start: the plant state is advanced through the block, as far as
-  its delayed inputs are already settled (the input delay D caps the
+* block start: the plant states are advanced through the block, as far as
+  their delayed inputs are already settled (the input delay D caps the
   block), and one `sample_many` call takes the settled prefix of every
-  member's estimate profile, the part no later sample can change;
-* prefix: `_march` runs all prefixes in lockstep as one (K, n) state, each
-  member stopping at the end of its own prefix;
-* tails: in step order, each member samples and marches its few unknown
-  tail intervals from its stored prefix state, sets U and records it;
-  refines at snapshot steps re-march only the tail;
-* block end: the state takes the block's last step, through the same
+  member's estimate profile (a member is one row at one step), the part
+  no later sample can change;
+* prefix: `_march` runs all K*size prefixes in lockstep as one (members,
+  n) state, each member stopping at the end of its own prefix;
+* tails: in step order, the rows sample and march their few unknown tail
+  intervals from the stored prefix states, as one lockstep march, set U
+  and record it; refines at snapshot steps re-march only the tails of the
+  rows that have not converged yet;
+* block end: the states take the block's last step, through the same
   routine (`_advance`) as the steps taken at block start.
 
 The first steps are blocks of one.  Once four samples exist, steps 0-3 are
-re-solved against full-order interpolation, each as a one-member block, so
+re-solved against full-order interpolation, each as a one-step block, so
 every predictor march of the loop runs through `_BlockMarches`.
 
 Each member's march is the same sequence of RK4 intervals, on the same
-samples, as a single full march at its own step, so the block size changes
-nothing but the cost.  The history keeps every sample from t = 0 on and is
-the run's only record of U; the result's `controls` are a copy of it.
+samples, as a single full march at its own step, so neither the block
+size nor the other rows change anything but the cost.  A single row runs
+on the plant's single-state shapes, (n,) states and scalar inputs.  The
+history keeps every sample from t = 0 on and is the run's only record of
+U; the result's `controls` are a copy of its row.
 
 Snapshots are emitted as triplets of consecutive steps around each stride
 multiple, giving the residual verifier central time differences at the
@@ -48,13 +62,13 @@ from typing import Optional
 import numpy as np
 
 from .backstepping import forward_transform
-from .errors import BlowUpError, ConfigError
+from .errors import BlowUpError, ConfigError, UsageError
 from .grid import GridProfile, HalfGridProfile, fd_x_wide, grid_nodes
 from .history import ControlHistory, distributed_true_input
 from .kernels import eval_all
 from .plants import DelayBounds, make_plant
-from .predictor import (_march, check_escape, compute_predictor,
-                        compute_transition_field,
+from .predictor import (BLOWUP_LIMIT, _march, check_escape,
+                        compute_predictor, compute_transition_field,
                         predictor_spatial_derivative)
 from .schedules import make_schedule
 
@@ -156,6 +170,16 @@ class ScenarioConfig:
                                  **self.schedule_params)
         return bundle, schedule
 
+    def ensemble_key(self):
+        """What the rows of one step loop share (see `run_ensemble`): the
+        plant, the grid, the horizon, the snapshot stride and the true
+        delay.  X0 and the delay-estimate schedule (kind, parameters,
+        bounds, soft width) are each row's own."""
+        return (self.plant, tuple(sorted(self.plant_params.items())),
+                int(self.num_intervals), float(self.dt),
+                float(self.horizon), int(self.stride),
+                float(self.true_delay))
+
     def with_resolution(self, num_intervals, dt):
         """Copy of this scenario at another (M, dt) rung, stride rescaled so
         snapshot centers fall at the same physical times."""
@@ -232,20 +256,22 @@ def materialize_slice(model, controller, hist, t, X, true_delay,
     half_x = grid_nodes(2 * num_intervals) - 1.0
     uhat_h = HalfGridProfile(hist.sample_many(t + float(dhat) * half_x))
     phat = compute_predictor(model, X, uhat_h, dhat)
-    return _assemble_slice(model, controller, hist, t, X, true_delay,
-                           dhat, dhat_dot, dhat_ddot, uhat_h.nodes, phat,
-                           step)
+    u = distributed_true_input(hist, t, true_delay, num_intervals)
+    return _assemble_slice(model, controller, t, X, u.values,
+                           uhat_h.nodes.values, phat.values, dhat, dhat_dot,
+                           dhat_ddot, step)
 
 
-def _assemble_slice(model, controller, hist, t, X, true_delay, dhat,
-                    dhat_dot, dhat_ddot, uhat_p, phat_p, step):
-    """The snapshot around given estimate and predictor node profiles."""
+def _assemble_slice(model, controller, t, X, u, uhat, phat, dhat, dhat_dot,
+                    dhat_ddot, step):
+    """The snapshot around given node values of the true input (whose last
+    entry is U(t)), the estimate and the predictor."""
+    u_p, uhat_p, phat_p = GridProfile(u), GridProfile(uhat), GridProfile(phat)
     m = uhat_p.num_intervals
-    u_p = distributed_true_input(hist, t, true_delay, m)
     what = forward_transform(controller, uhat_p, phat_p).values
     utilde = u_p.values - uhat_p.values
     return SystemSnapshot(
-        t=t, step=step, X=X.copy(), U=float(hist.sample_many(t)),
+        t=t, step=step, X=X.copy(), U=float(u_p.values[-1]),
         dhat=dhat, dhat_dot=dhat_dot, dhat_ddot=dhat_ddot,
         u=u_p.values, uhat=uhat_p.values, utilde=utilde,
         phat=phat_p.values, what=what,
@@ -275,12 +301,21 @@ def snapshot_kernels(model, controller, true_delay, snap):
     return snap.kernels
 
 
-def _control_from(controller, p_end):
-    """U = kappa(p(1)), rejecting an escaped value."""
-    value = float(controller.kappa(np.atleast_1d(p_end)))
-    if not np.isfinite(value) or abs(value) > STATE_LIMIT:
-        raise BlowUpError(f"control value escaped ({value!r})")
-    return value
+def _escapes(profiles, m):
+    """{i: BlowUpError} for the rows i of the (M+1, R, n) node profiles
+    that left the finite range, each as `check_escape` reports it alone."""
+    with np.errstate(invalid="ignore"):
+        inside = np.abs(profiles[1:]) <= BLOWUP_LIMIT
+    if inside.all():
+        return {}
+    bad = ~inside.all(axis=(0, 2))
+    lost = {}
+    for i in np.flatnonzero(bad):
+        try:
+            check_escape(profiles[:, i], m)
+        except BlowUpError as exc:
+            lost[int(i)] = exc
+    return lost
 
 
 def _stage_inputs_zero(t, dt, D):
@@ -296,132 +331,210 @@ def _stage_times(t, dt, D):
 
 
 def _advance(model, hist, states, k0, count, dt, D):
-    """Take the plant steps k0 .. k0+count-1 on the recorded input, storing
-    states[k0+1 ..]; returns how many states were stored, stopping before
-    the first one that escapes."""
+    """Take the plant steps k0 .. k0+count-1 of every row on its recorded
+    input, storing states[:, k0+1 ..].  Stops at the first step where a
+    row's state escapes; returns the number of steps taken before it and
+    the mask of the rows that escaped there (none when all were taken)."""
     t = np.arange(k0, k0 + count) * dt
-    v = hist.sample_many(_stage_times(t, dt, D))
-    v[_stage_inputs_zero(t, dt, D)] = 0.0
-    X = states[k0]
+    stage = _stage_times(t, dt, D)
+    v = hist.sample_many(np.broadcast_to(stage, (hist.rows,) + stage.shape))
+    v[:, _stage_inputs_zero(t, dt, D)] = 0.0
+    v = v.transpose(1, 2, 0)  # (step, stage, row)
+    X = states[:, k0]
+    if hist.rows == 1:
+        # one row steps on the plant's single-state shapes
+        X, v = X[0], v[..., 0]
     for j, (v0, v1, v2) in enumerate(v):
         k1 = model.f(X, v0)
         k2 = model.f(X + 0.5 * dt * k1, v1)
         k3 = model.f(X + 0.5 * dt * k2, v1)
         k4 = model.f(X + dt * k3, v2)
         X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > STATE_LIMIT:
-            return j
-        states[k0 + j + 1] = X
-    return count
+        states[:, k0 + j + 1] = X
+        bad = ~(np.max(np.abs(X), axis=-1) <= STATE_LIMIT)
+        if np.any(bad):
+            return j, np.atleast_1d(bad)
+    return count, np.zeros(hist.rows, dtype=bool)
 
 
 def _advance_ahead(model, hist, states, k0, size, dt, D):
-    """Fill states[k0+1 .. k0+size-1] from inputs already settled.
+    """Fill states[:, k0+1 .. k0+size-1] from inputs already settled.
 
     Returns the block size to keep: it ends before the first step whose
-    delayed input is not settled yet, and at a state that escapes, which
-    the step loop then meets, in order, at the block's last step.
+    delayed input is not settled yet, and at the first state that escapes
+    in any row, which the step loop then meets, in order, at the block's
+    last step.
     """
     t = np.arange(k0, k0 + size - 1) * dt
     ok = _stage_inputs_zero(t, dt, D) \
         | hist.settled(_stage_times(t, dt, D)).all(axis=1)
     ahead = int(np.argmin(ok)) if not ok.all() else ok.size
-    return 1 + _advance(model, hist, states, k0, ahead, dt, D)
+    return 1 + _advance(model, hist, states, k0, ahead, dt, D)[0]
 
 
 class _BlockMarches:
-    """Predictor marches of the steps k0 .. k0+size-1.
+    """Predictor marches of the steps k0 .. k0+size-1, for every row.
 
-    At construction the settled prefix of every member's half-grid
-    estimate is sampled in one call and marched in lockstep; `control`
-    then finishes one member's tail on the history as it stands.
+    At construction the settled prefix of each member's half-grid
+    estimate (a member is one row at one step) is sampled in one call, and
+    the K*size prefixes are marched in lockstep.  `control` then finishes
+    one step's tails for a set of rows, as one lockstep march on the
+    history as it stands.
     """
 
-    def __init__(self, model, controller, hist, schedule, states, k0, size,
+    def __init__(self, model, controller, hist, schedules, states, k0, size,
                  dt, half_x):
         self.model, self.controller, self.hist = model, controller, hist
-        self.states = states
+        self.schedules, self.states = schedules, states
         self.k0, self.dt = k0, dt
         self.m = (half_x.size - 1) // 2
-        self.dhat = np.array([schedule.evaluate(k * dt)[0]
-                              for k in range(k0, k0 + size)])
+        self.dhat = np.array([[s.evaluate(k * dt)[0]
+                               for k in range(k0, k0 + size)]
+                              for s in schedules])
         t = np.arange(k0, k0 + size) * dt
-        self.theta = t[:, None] + self.dhat[:, None] * half_x
-        # theta rises along a row and its last entry, t, is never settled
-        self.count = np.argmin(hist.settled(self.theta), axis=1)
+        self.theta = t[:, None] + self.dhat[..., None] * half_x
+        # theta rises along a member and its last entry, t, is never settled
+        self.count = np.argmin(hist.settled(self.theta), axis=-1)
         self.stop = np.maximum(self.count - 1, 0) // 2
+        # per step, the earliest head and stop over all rows
+        self.head, self.start = self.count.min(axis=0), self.stop.min(axis=0)
         self.uhat = np.empty_like(self.theta)
-        known = np.arange(half_x.size) < self.count[:, None]
-        self.uhat[known] = hist.sample_many(self.theta[known])
+        known = np.arange(half_x.size) < self.count[..., None]
+        rows = np.broadcast_to(np.arange(len(schedules))[:, None, None],
+                               known.shape)
+        self.uhat[known] = hist.sample_many(self.theta[known],
+                                            rows=rows[known])
 
-        order = np.argsort(-self.stop, kind="stable")
-        dh = self.dhat[order][:, None]
-        uh = self.uhat[order]
+        stop = self.stop.reshape(-1)
+        order = np.argsort(-stop, kind="stable")
+        dh = self.dhat.reshape(-1)[order][:, None]
+        uh = self.uhat.reshape(-1, half_x.size)[order]
 
         def rhs(ih, p):
             rows = p.shape[0]
             return dh[:rows] * model.f(p, uh[:rows, ih])
 
-        marched = _march(rhs, states[k0:k0 + size][order], self.m,
-                         stops=self.stop[order])
-        self.prefix = np.empty_like(marched)
-        self.prefix[:, order] = marched
+        n = states.shape[-1]
+        marched = _march(rhs, states[:, k0:k0 + size].reshape(-1, n)[order],
+                         self.m, stops=stop[order])
+        prefix = np.empty_like(marched)
+        prefix[:, order] = marched
+        self.prefix = prefix.reshape((-1,) + self.stop.shape + (n,))
 
-    def _profile(self, j, extrapolate):
-        """Member j's predictor node profile: its stored prefix, then the
-        tail marched on freshly sampled estimate values."""
-        head, stop = self.count[j], self.stop[j]
-        row = self.uhat[j]
-        row[head:] = self.hist.sample_many(
-            self.theta[j, head:], allow_tail_extrapolation=extrapolate)
-        dhat, f = self.dhat[j], self.model.f
+    def _profiles(self, k, rows, extrapolate):
+        """The (M+1, len(rows), n) predictor node profiles of step k: the
+        stored prefixes, then one lockstep march of the tails on freshly
+        sampled estimate values.  The march starts at the earliest stop
+        among the rows; a row whose prefix reaches further marches those
+        nodes again, with the same arithmetic as its prefix sweep."""
+        j = k - self.k0
+        if rows.size == self.count.shape[0]:  # every row: plain slices
+            sel, head, start = slice(None), self.head[j], self.start[j]
+        else:
+            sel = rows
+            head, start = self.count[rows, j].min(), self.stop[rows, j].min()
+        self.uhat[sel, j, head:] = self.hist.sample_many(
+            self.theta[sel, j, head:], allow_tail_extrapolation=extrapolate,
+            rows=rows[:, None])
+        if rows.size == 1:
+            # one row marches on the plant's single-state shapes
+            r = rows[0]
+            dhat, uh = self.dhat[r, j], self.uhat[r, j]
+            y0 = self.prefix[start, r, j]
+        else:
+            dhat, uh = self.dhat[sel, j][:, None], self.uhat[sel, j].T
+            y0 = self.prefix[start, sel, j]
+        f = self.model.f
 
         def rhs(ih, p):
-            return dhat * f(p, row[ih])
+            return dhat * f(p, uh[ih])
 
-        tail = _march(rhs, self.prefix[stop, j], self.m, start=stop)
-        return np.concatenate([self.prefix[:stop, j], tail])
+        tail = _march(rhs, y0, self.m, start=start)
+        return np.concatenate([self.prefix[:start, sel, j],
+                               tail.reshape(tail.shape[0], rows.size, -1)])
 
-    def control(self, k, extrapolate):
-        """U at step k from its stored prefix and a freshly sampled tail;
-        the first call of a step (with tail extrapolation) also checks the
-        prefix, which later calls share."""
-        j = k - self.k0
-        if extrapolate:
-            check_escape(self.prefix[:self.stop[j] + 1, j], self.m)
-        tail_end = self._profile(j, extrapolate)[-1]
-        return _control_from(self.controller, tail_end)
+    def control(self, k, rows, extrapolate):
+        """U at step k for each of `rows` from its stored prefix and a
+        freshly sampled tail.  Returns the values and {i: BlowUpError} for
+        the rows rows[i] whose predictor or control escaped (value 0)."""
+        p = self._profiles(k, rows, extrapolate)
+        lost = _escapes(p, self.m)
+        ends = p[-1]
+        if lost:  # kappa(0) = 0 stands in for an escaped predictor
+            ends = ends.copy()
+            ends[list(lost)] = 0.0
+        values = np.atleast_1d(
+            self.controller.kappa(ends[0] if rows.size == 1 else ends))
+        for i in np.flatnonzero(~(np.abs(values) <= STATE_LIMIT)):
+            lost[int(i)] = BlowUpError(
+                f"control value escaped ({float(values[i])!r})")
+            values[i] = 0.0
+        return values, lost
 
-    def snapshot(self, k, schedule, true_delay):
-        """The SystemSnapshot at step k on the recorded history: the same
-        fields as `materialize_slice`, with the predictor finished from
-        the stored prefix."""
+    def snapshots(self, k, rows, true_delay):
+        """The SystemSnapshot at step k of each of `rows` on the recorded
+        history: the same fields as `materialize_slice`, with each
+        predictor finished from its stored prefix.  Returns {i: snapshot}
+        and, as `control` does, the escapes."""
         j = k - self.k0
         t = k * self.dt
-        dhat, dd, ddd = schedule.evaluate(t)
-        phat = GridProfile(self._profile(j, extrapolate=False))
-        uhat = GridProfile(self.uhat[j, ::2].copy())
-        return _assemble_slice(
-            self.model, self.controller, self.hist, t, self.states[k],
-            true_delay, dhat, dd, ddd, uhat, phat, k)
+        p = self._profiles(k, rows, extrapolate=False)
+        lost = _escapes(p, self.m)
+        th = t + float(true_delay) * (grid_nodes(self.m) - 1.0)
+        u = self.hist.sample_many(np.broadcast_to(th, (rows.size, th.size)),
+                                  rows=rows[:, None])
+        snaps = {}
+        for i, r in enumerate(rows):
+            if i not in lost:
+                dhat, dd, ddd = self.schedules[r].evaluate(t)
+                snaps[i] = _assemble_slice(
+                    self.model, self.controller, t, self.states[r, k], u[i],
+                    self.uhat[r, j, ::2].copy(), p[:, i].copy(), dhat, dd,
+                    ddd, k)
+        return snaps, lost
 
 
 def run_scenario(config: ScenarioConfig, snapshot_steps=None):
     """March the closed loop over [0, T] and collect snapshot triplets.
 
-    `snapshot_steps` overrides the stride-derived emission centers (a
-    sequence of step indices, each needing both neighbors inside [0, N]).
-    Raises BlowUpError with the failure time when the state or the
-    predictor march escapes.
+    The one-row case of `run_ensemble`.  `snapshot_steps` overrides the
+    stride-derived emission centers (a sequence of step indices, each
+    needing both neighbors inside [0, N]).  Raises BlowUpError with the
+    failure time when the state or the predictor march escapes.
+    """
+    (result,) = run_ensemble([config], snapshot_steps)
+    if isinstance(result, BlowUpError):
+        raise result
+    return result
+
+
+def run_ensemble(configs, snapshot_steps=None):
+    """March the closed loops of several scenarios through one step loop.
+
+    The scenarios must have equal `ScenarioConfig.ensemble_key`s; they
+    may differ in X0 and in the delay-estimate schedule.  Every row takes
+    the same steps, on the same arithmetic, as its scenario run alone; the
+    rows only share the calls.  Returns one entry per config: its
+    SimulationResult, or the BlowUpError that `run_scenario` raises for
+    it.  A row that escapes leaves the ensemble and the others run on.
+    Each result's `wall_time` is an equal share of the loop's time.
     """
     started = _time.perf_counter()
-    bundle, schedule = config.build()
+    configs = list(configs)
+    if not configs:
+        raise UsageError("an ensemble needs at least one scenario")
+    if len({cfg.ensemble_key() for cfg in configs}) > 1:
+        raise UsageError("the scenarios of an ensemble must share the "
+                         "plant, M, dt, T, stride and D")
+    built = [cfg.build() for cfg in configs]
+    bundle = built[0][0]
     model, controller = bundle.model, bundle.controller
-    m, dt, D = config.num_intervals, config.dt, config.true_delay
-    n_steps = int(round(config.horizon / dt))  # at least 1: T >= dt
+    cfg = configs[0]
+    m, dt, D = cfg.num_intervals, cfg.dt, cfg.true_delay
+    n_steps = int(round(cfg.horizon / dt))  # at least 1: T >= dt
 
     if snapshot_steps is None:
-        centers = list(range(config.stride, n_steps, config.stride))
+        centers = list(range(cfg.stride, n_steps, cfg.stride))
     else:
         centers = sorted(int(s) for s in snapshot_steps)
     for c in centers:
@@ -436,73 +549,130 @@ def run_scenario(config: ScenarioConfig, snapshot_steps=None):
     # start-of-history jump echoes through the loop, at multiples of the
     # true delay; keeping interpolation stencils off those points
     # preserves the cubic order of the stage inputs
-    hist = ControlHistory(dt, breaks=D * np.arange(1.0, 7.0))
+    hist = ControlHistory(dt, breaks=D * np.arange(1.0, 7.0),
+                          rows=len(configs))
     half_x = grid_nodes(2 * m) - 1.0
-    states = np.empty((n_steps + 1, model.dim))
-    times = dt * np.arange(n_steps + 1)
-    snapshots = {}
-    states[0] = np.atleast_1d(np.asarray(config.X0, dtype=float))
+    states = np.empty((len(configs), n_steps + 1, model.dim))
+    states[:, 0] = [np.atleast_1d(np.asarray(c.X0, dtype=float))
+                    for c in configs]
+    schedules = [schedule for _, schedule in built]
+    ids = np.arange(len(configs))  # the config of each row still running
+    outcome = [None] * len(configs)
+    snapshots = [{} for _ in configs]
+
+    def leave(errors):
+        """Record the errors of the rows {row: error} and drop the rows."""
+        nonlocal states, schedules, ids
+        keep = np.ones(ids.size, dtype=bool)
+        for r, exc in errors.items():
+            outcome[ids[r]] = exc
+            keep[r] = False
+        hist.keep_rows(keep)
+        states = states[keep]
+        schedules = [s for s, kept in zip(schedules, keep) if kept]
+        ids = ids[keep]
 
     k0 = 0
-    while k0 <= n_steps:
+    while k0 <= n_steps and ids.size:
         # a block does not span the start-up re-solve
         size = 1 if k0 < 4 else min(_BLOCK, n_steps + 1 - k0)
         size = _advance_ahead(model, hist, states, k0, size, dt, D)
-        marches = _BlockMarches(model, controller, hist, schedule, states,
+        marches = _BlockMarches(model, controller, hist, schedules, states,
                                 k0, size, dt, half_x)
+        # rows that escape stop taking part at once and leave at block end
+        lost, gone = {}, np.zeros(ids.size, dtype=bool)
+
+        def lose(rows, errors, t):
+            for i, exc in errors.items():
+                gone[rows[i]] = True
+                lost[rows[i]] = exc if t is None else \
+                    BlowUpError(str(exc), time=t, x=exc.x)
+
         for k in range(k0, k0 + size):
             t = k * dt
-            try:
-                U = marches.control(k, extrapolate=True)
-                hist.append(t, U)
-                if k in emit:
-                    # refine: with U(t) recorded the extrapolation is
-                    # gone, so re-marching the predictor closes the loop
-                    # U = kappa(p(1)); the iteration contracts fast (gain
-                    # ~ dt) and is only needed where snapshots assert the
-                    # boundary identity
-                    for _ in range(6):
-                        U_new = marches.control(k, extrapolate=False)
-                        hist.replace_last(U_new)
-                        done = abs(U_new - U) <= 1e-14 * max(1.0, abs(U_new))
-                        U = U_new
-                        if done:
-                            break
-                    snapshots[k] = marches.snapshot(k, schedule, D)
-            except BlowUpError as exc:
-                raise BlowUpError(str(exc), time=t, x=exc.x) from None
+            live = np.flatnonzero(~gone)
+            if not live.size:
+                break
+            U = np.zeros(ids.size)
+            U[live], errors = marches.control(k, live, extrapolate=True)
+            lose(live, errors, t)
+            hist.append(t, U)
+            if k in emit:
+                # refine: with U(t) recorded the extrapolation is gone, so
+                # re-marching the predictor closes the loop U = kappa(p(1));
+                # the iteration contracts fast (gain ~ dt) and is only
+                # needed where snapshots assert the boundary identity.  A
+                # row that has converged is not replaced again
+                todo = np.flatnonzero(~gone)
+                for _ in range(6):
+                    if not todo.size:
+                        break
+                    U_new, errors = marches.control(k, todo, extrapolate=False)
+                    lose(todo, errors, t)
+                    done = np.abs(U_new - U[todo]) \
+                        <= 1e-14 * np.maximum(1.0, np.abs(U_new))
+                    kept = ~gone[todo]
+                    U[todo[kept]] = U_new[kept]
+                    hist.replace_last(U)
+                    todo = todo[kept & ~done]
+                live = np.flatnonzero(~gone)
+                if live.size:
+                    snaps, errors = marches.snapshots(k, live, D)
+                    lose(live, errors, t)
+                    for i, snap in snaps.items():
+                        snapshots[ids[live[i]]][k] = snap
 
             if k == 3 and 3.0 * dt <= D * (1.0 + 1e-12):
                 # the first three samples were interpolated from fewer
                 # than four points; with four recorded the early values
                 # can be re-solved against full-order interpolation (the
                 # state is drift-only until t = D, so no earlier step
-                # consumed them).  Each step is re-marched as a one-member
+                # consumed them).  Each step is re-marched as a one-step
                 # block built after the previous replacement (Gauss-Seidel
                 # order); its queries end at the newest sample, so tail
-                # extrapolation only adds the block's prefix escape check
+                # extrapolation only adds the block's prefix escape check.
+                # Each row stops once its own sweep has converged
+                todo = np.flatnonzero(~gone)
                 for _ in range(6):
-                    delta = 0.0
+                    delta = np.zeros(ids.size)
                     for j in range(4):
-                        Uj = _BlockMarches(
-                            model, controller, hist, schedule, states, j, 1,
-                            dt, half_x).control(j, extrapolate=True)
-                        delta = max(delta, abs(Uj - hist.values[j]))
-                        hist.replace_at(j * dt, Uj)
-                    if delta <= 1e-13 * max(1.0,
-                                            np.max(np.abs(hist.values))):
+                        if not todo.size:
+                            break
+                        Uj, errors = _BlockMarches(
+                            model, controller, hist, schedules, states, j,
+                            1, dt, half_x).control(j, todo, extrapolate=True)
+                        lose(todo, errors, None)
+                        column = hist.values[:, j].copy()
+                        delta[todo] = np.maximum(
+                            delta[todo], np.abs(Uj - column[todo]))
+                        ok = ~gone[todo]
+                        column[todo[ok]] = Uj[ok]
+                        hist.replace_at(j * dt, column)
+                        todo = todo[ok]
+                    scale = np.maximum(
+                        1.0, np.max(np.abs(hist.values[todo]), axis=1))
+                    todo = todo[~(delta[todo] <= 1e-13 * scale)]
+                    if not todo.size:
                         break
 
+        if lost:
+            leave(lost)
         k = k0 + size - 1
-        if k < n_steps:
-            if not _advance(model, hist, states, k, 1, dt, D):
+        if ids.size and k < n_steps:
+            escaped = _advance(model, hist, states, k, 1, dt, D)[1]
+            if escaped.any():
                 t = k * dt + dt
-                raise BlowUpError(f"state escaped at t={t:.6g}", time=t)
+                leave({int(r): BlowUpError(f"state escaped at t={t:.6g}",
+                                           time=t)
+                       for r in np.flatnonzero(escaped)})
         k0 = k + 1
 
-    return SimulationResult(
-        config=config, model=model, controller=controller,
-        certificate=bundle.certificate, schedule=schedule,
-        times=times, states=states, controls=hist.values.copy(),
-        snapshots=snapshots, centers=centers,
-        wall_time=_time.perf_counter() - started)
+    share = (_time.perf_counter() - started) / len(configs)
+    for r, i in enumerate(ids):
+        outcome[i] = SimulationResult(
+            config=configs[i], model=model, controller=controller,
+            certificate=bundle.certificate, schedule=schedules[r],
+            times=dt * np.arange(n_steps + 1), states=states[r].copy(),
+            controls=hist.values[r].copy(), snapshots=snapshots[i],
+            centers=list(centers), wall_time=share)
+    return outcome

@@ -224,6 +224,49 @@ def test_sweep_worst_code_wins(tmp_path):
     assert statuses == {"ok", "blow-up"}
 
 
+def test_sweep_ensemble_blowup_marks_only_its_cell(tmp_path):
+    # both cells share plant and grid, so they run as one ensemble; the
+    # large one escapes, the small one runs to T as it does alone
+    text = UNSTABLE.replace("plant.a = 1.0", "plant.a = 3.0").replace(
+        "T = 25.0", "T = 3.2")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "s"
+    code = cli.main(["sweep", "--config", cfg, "--out", str(out),
+                     "--set", "X0=1e4,1e-6"])
+    assert code == 3
+    lines = (out / "aggregate.csv").read_bytes().decode().strip().split("\r\n")
+    status = {l.split(",")[0]: l.rsplit(",", 1)[-1] for l in lines[1:]}
+    assert status == {"cell_X0-1e4": "blow-up", "cell_X0-1e-6": "ok"}
+    failed = json.loads((out / "cell_X0-1e4" / "manifest.json").read_text())
+    alone = tmp_path / "alone"
+    single = write_cfg(tmp_path, text.replace("X0 = 2.0", "X0 = 1e4"),
+                       name="alone.cfg")
+    assert cli.main(["simulate", "--config", single,
+                     "--out", str(alone)]) == 3
+    solo = json.loads((alone / "manifest.json").read_text())
+    assert (failed["failure_time"], failed["failure"]) == \
+        (solo["failure_time"], solo["failure"])
+    ok = tmp_path / "ok"
+    single = write_cfg(tmp_path, text.replace("X0 = 2.0", "X0 = 1e-6"),
+                       name="ok.cfg")
+    assert cli.main(["simulate", "--config", single, "--out", str(ok)]) == 0
+    assert (out / "cell_X0-1e-6" / "trajectory.csv").read_bytes() == \
+        (ok / "trajectory.csv").read_bytes()
+
+
+def test_sweep_cells_resolving_to_one_scenario_exit_2(tmp_path, capsys):
+    # three spellings of one value name three cells but one scenario
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "s"
+    code = cli.main(["sweep", "--config", cfg, "--out", str(out),
+                     "--set", "plant.k=2,2.0,2e0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "resolve to the same scenario" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_without_axes_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, BASE)
     code = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")])

@@ -182,3 +182,48 @@ def test_nothing_settled_before_four_samples():
     hist.append(0.3, 1.0)
     assert np.array_equal(hist.settled(np.array([-1.0, 0.0, 0.05, 0.1])),
                           [True, True, True, False])
+
+
+def test_settled_time_past_a_break_reads_the_newest_sample():
+    # with a break at sample index n - 4, a settled time just after it has
+    # its stencil moved onto samples n - 4 .. n - 1, so replacing the
+    # newest sample changes it; settled values may only be kept once the
+    # newest sample is final (the step loop samples them at block start)
+    dt = 0.01
+    hist = ControlHistory(dt, breaks=[0.10])
+    for k in range(14):
+        hist.append(k * dt, np.sin(3.0 * k * dt))
+    theta = np.array([0.105, 0.085])
+    assert hist.settled(theta).all()
+    before = hist.sample_many(theta)
+    hist.replace_last(1.0)
+    after = hist.sample_many(theta)
+    assert after[0] != before[0]
+    assert after[1] == before[1]  # before the break: samples 7 .. 10
+
+
+def test_rows_interpolate_as_their_own_histories():
+    # a history of K rows reads each query from its row exactly as a
+    # one-signal history of that row's samples does, breaks included
+    dt = 0.01
+    rng = np.random.default_rng(5)
+    signals = rng.uniform(-1.0, 1.0, size=(3, 40))
+    rows = ControlHistory(dt, breaks=[0.1, 0.2], rows=3)
+    alone = [ControlHistory(dt, breaks=[0.1, 0.2]) for _ in range(3)]
+    for k in range(40):
+        rows.append(k * dt, signals[:, k])
+        for hist, sig in zip(alone, signals):
+            hist.append(k * dt, sig[k])
+        thetas = rng.uniform(-0.05, (k + 1) * dt, size=(3, 9))
+        which = rng.integers(0, 3, size=9)
+        got = rows.sample_many(thetas, allow_tail_extrapolation=True)
+        mixed = rows.sample_many(thetas[0], True, rows=which)
+        for r, hist in enumerate(alone):
+            ref = hist.sample_many(thetas[r], allow_tail_extrapolation=True)
+            assert np.array_equal(got[r], ref)
+            assert np.array_equal(
+                mixed[which == r], hist.sample_many(thetas[0][which == r],
+                                                    True))
+    assert np.array_equal(rows.values, signals)
+    with pytest.raises(UsageError):
+        rows.append(40 * dt, 1.0)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from delaycomp import ScenarioConfig, run_scenario, simulate
-from delaycomp.errors import BlowUpError, ConfigError
+from delaycomp import ScenarioConfig, run_ensemble, run_scenario, simulate
+from delaycomp.errors import BlowUpError, ConfigError, UsageError
 
 
 def linear_config(**kw):
@@ -158,21 +158,27 @@ def test_block_size_on_double_integrator_within_roundoff(monkeypatch):
                                              omega=1.0),
                         num_intervals=16, dt=4e-3, horizon=2.4, stride=40)
     blocked, single = _block_pair(monkeypatch, cfg)
+    assert _worst_relative_difference(blocked, single) <= 1e-12
 
-    def rel(a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        scale = np.maximum(np.abs(a), np.abs(b))
-        out = np.divide(np.abs(a - b), scale, out=np.zeros(scale.shape),
+
+def _worst_relative_difference(a, b):
+    """Largest relative difference between two runs' states, controls and
+    snapshot arrays, which must be on the same steps."""
+    def rel(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        scale = np.maximum(np.abs(x), np.abs(y))
+        out = np.divide(np.abs(x - y), scale, out=np.zeros(scale.shape),
                         where=scale > 0.0)
         return float(np.max(out, initial=0.0))
 
-    worst = max(rel(blocked.states, single.states),
-                rel(blocked.controls, single.controls))
-    for k, snap in blocked.snapshots.items():
+    assert sorted(a.snapshots) == sorted(b.snapshots)
+    worst = max(rel(a.times, b.times), rel(a.states, b.states),
+                rel(a.controls, b.controls))
+    for k, snap in a.snapshots.items():
         for name in SNAPSHOT_ARRAYS:
             worst = max(worst, rel(getattr(snap, name),
-                                   getattr(single.snapshots[k], name)))
-    assert worst <= 1e-12
+                                   getattr(b.snapshots[k], name)))
+    return worst
 
 
 def test_runs_are_deterministic():
@@ -192,22 +198,24 @@ def test_runs_are_deterministic():
 def test_loop_snapshots_equal_materialize_slice(monkeypatch, plant, X0):
     # the step loop finishes snapshot predictors from the block's stored
     # prefix; a fresh full march on the same history must agree exactly
-    built = simulate._BlockMarches.snapshot
+    built = simulate._BlockMarches.snapshots
     checked = []
 
-    def snapshot(self, k, schedule, true_delay):
-        snap = built(self, k, schedule, true_delay)
-        ref = simulate.materialize_slice(
-            self.model, self.controller, self.hist, snap.t, snap.X,
-            true_delay, snap.dhat, snap.dhat_dot, snap.dhat_ddot,
-            snap.num_intervals, step=k)
-        for name in SNAPSHOT_ARRAYS:
-            assert np.array_equal(getattr(snap, name), getattr(ref, name)), \
-                (k, name)
-        checked.append(k)
-        return snap
+    def snapshots(self, k, rows, true_delay):
+        snaps, lost = built(self, k, rows, true_delay)
+        for snap in snaps.values():
+            # a one-row history reads its row for every query
+            ref = simulate.materialize_slice(
+                self.model, self.controller, self.hist, snap.t, snap.X,
+                true_delay, snap.dhat, snap.dhat_dot, snap.dhat_ddot,
+                snap.num_intervals, step=k)
+            for name in SNAPSHOT_ARRAYS:
+                assert np.array_equal(getattr(snap, name),
+                                      getattr(ref, name)), (k, name)
+            checked.append(k)
+        return snaps, lost
 
-    monkeypatch.setattr(simulate._BlockMarches, "snapshot", snapshot)
+    monkeypatch.setattr(simulate._BlockMarches, "snapshots", snapshots)
     run_scenario(linear_config(plant=plant, plant_params={}, X0=X0,
                                schedule_kind="sinusoid",
                                schedule_params=dict(base=0.5, amplitude=0.1,
@@ -215,3 +223,106 @@ def test_loop_snapshots_equal_materialize_slice(monkeypatch, plant, X0):
                                num_intervals=16, dt=4e-3, horizon=2.4,
                                stride=40))
     assert len(checked) == 3 * 14
+
+
+# each row of an ensemble runs as its scenario alone: the rows differ in
+# X0 and in the estimate schedule, and one row of each escapes at t = 0
+# (the linear row's control, the cubic row's predictor march)
+ENSEMBLE_ROWS = {
+    "linear": [((0.7,), "constant", dict(value=0.5)),
+               ((1.3,), "sinusoid", dict(base=0.5, amplitude=0.15,
+                                         omega=1.0)),
+               ((5e7,), "sinusoid", dict(base=0.5, amplitude=0.1,
+                                         omega=1.0)),
+               ((1.0,), "sinusoid", dict(base=0.45, amplitude=0.05,
+                                         omega=2.0))],
+    "cubic": [((0.5,), "sinusoid", dict(base=0.5, amplitude=0.0,
+                                        omega=1.0)),
+              ((1.5,), "sinusoid", dict(base=0.5, amplitude=0.15,
+                                        omega=1.0)),
+              ((40.0,), "sinusoid", dict(base=0.5, amplitude=0.1,
+                                         omega=1.0)),
+              ((-1.0,), "ramp", dict(base=0.5, rate=0.05))],
+    "double_integrator": [
+        ((0.5, -0.3), "sinusoid", dict(base=0.5, amplitude=0.0, omega=1.0)),
+        ((-1.0, 0.2), "sinusoid", dict(base=0.5, amplitude=0.12, omega=1.0)),
+        ((0.1, 0.4), "constant", dict(value=0.6))],
+}
+
+
+def _ensemble_configs(plant, **kw):
+    params = dict(a=1.0, b=1.0, k=2.0) if plant == "linear" else {}
+    base = dict(plant=plant, plant_params=params, num_intervals=16, dt=4e-3,
+                horizon=2.4, stride=40)
+    base.update(kw)
+    return [linear_config(X0=X0, schedule_kind=kind, schedule_params=sp,
+                          **base)
+            for X0, kind, sp in ENSEMBLE_ROWS[plant]]
+
+
+def _ensemble_and_solo(configs):
+    """Each row of the ensemble next to its scenario run alone; a row that
+    escapes must carry the error its run alone raises."""
+    pairs = []
+    for cfg, row in zip(configs, run_ensemble(configs)):
+        try:
+            alone = run_scenario(cfg)
+        except BlowUpError as exc:
+            assert isinstance(row, BlowUpError)
+            assert (row.time, row.x, str(row)) == (exc.time, exc.x, str(exc))
+            continue
+        assert not isinstance(row, BlowUpError), row
+        pairs.append((row, alone))
+    return pairs
+
+
+@pytest.mark.parametrize("plant", ["linear", "cubic"])
+def test_ensemble_rows_equal_runs_alone(plant):
+    pairs = _ensemble_and_solo(_ensemble_configs(plant))
+    assert len(pairs) == 3
+    for row, alone in pairs:
+        assert row.centers == alone.centers
+        for name in ("times", "states", "controls"):
+            assert np.array_equal(getattr(row, name), getattr(alone, name))
+        assert sorted(row.snapshots) == sorted(alone.snapshots)
+        for k, snap in row.snapshots.items():
+            for name in SNAPSHOT_ARRAYS:
+                assert np.array_equal(getattr(snap, name),
+                                      getattr(alone.snapshots[k], name)), \
+                    (k, name)
+
+
+def test_ensemble_rows_on_double_integrator_within_roundoff():
+    pairs = _ensemble_and_solo(_ensemble_configs("double_integrator"))
+    assert len(pairs) == 3
+    for row, alone in pairs:
+        assert _worst_relative_difference(row, alone) <= 1e-12
+
+
+def test_row_that_escapes_mid_run_leaves_the_others_unchanged():
+    # an unstable open loop: the two large rows escape near t = 2.5, the
+    # small ones run to T
+    cfgs = [linear_config(plant_params=dict(a=3.0, b=1.0, k=0.0), X0=(x,),
+                          schedule_kind="sinusoid",
+                          schedule_params=dict(base=0.5, amplitude=a,
+                                               omega=1.0),
+                          num_intervals=16, dt=4e-3, horizon=3.2,
+                          stride=10 ** 6)
+            for x in (1e4, 1e-6) for a in (0.0, 0.1)]
+    rows = run_ensemble(cfgs)
+    assert [isinstance(r, BlowUpError) for r in rows] == [True, True,
+                                                          False, False]
+    assert all(2.0 < r.time < 3.2 for r in rows[:2])
+    pairs = _ensemble_and_solo(cfgs)
+    assert len(pairs) == 2
+    for row, alone in pairs:
+        assert np.array_equal(row.states, alone.states)
+        assert np.array_equal(row.controls, alone.controls)
+
+
+def test_ensemble_rows_must_share_the_loop():
+    cfgs = _ensemble_configs("linear")
+    with pytest.raises(UsageError):
+        run_ensemble([cfgs[0], dataclasses.replace(cfgs[1], dt=2e-3)])
+    with pytest.raises(UsageError):
+        run_ensemble([])

@@ -77,7 +77,10 @@ def test_equivalence_probe_same_checkout():
     proc = subprocess.run([sys.executable, PROBE, ROOT, ROOT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for name in ("simulate-linear", "simulate-cubic", "verify", "sweep"):
+    names = ("simulate-linear", "simulate-cubic", "verify", "sweep",
+             "sweep-ensembles")
+    for name in names:
         assert f"== {name}: exit 0 / 0" in proc.stdout
-    assert proc.stdout.count("worst relative difference 0.000e+00") == 4
+    assert proc.stdout.count("worst relative difference 0.000e+00") == \
+        len(names)
     assert proc.stdout.rstrip().endswith("equivalent")

@@ -10,7 +10,9 @@ directory, the probe runs:
   T=1.5), once on the linear and once on the cubic plant;
 * `delaycomp verify` on the benchmark's certify scenario over the
   integer-ratio ladder 10:0.02,20:0.01,40:0.005;
-* a two-cell `delaycomp sweep` over the feedback gain k.
+* a two-cell `delaycomp sweep` over the feedback gain k;
+* an eight-cell sweep over k, X0 and the estimate's amplitude, whose
+  cells run as two lockstep ensembles of four (one per gain).
 
 For every run it prints both exit codes and the `compare_outputs` table of
 the two output trees (wall-clock fields excluded).  Exit status: 0 when
@@ -49,6 +51,9 @@ RUNS = (
     ("verify", LINEAR + SCHEDULE + CERTIFY,
      ["verify", "--ladder", "10:0.02,20:0.01,40:0.005"]),
     ("sweep", LINEAR + SCHEDULE + SWEEP, ["sweep", "--set", "plant.k=1.5,2.0"]),
+    ("sweep-ensembles", LINEAR + SCHEDULE + SWEEP,
+     ["sweep", "--set", "plant.k=1.5,2.0", "--set", "X0=0.8,1.2",
+      "--set", "schedule.amplitude=0.05,0.1"]),
 )
 
 
