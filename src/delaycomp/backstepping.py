@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import GridMismatchError, UsageError
 from .grid import GridProfile
-from .predictor import _half_grid_values, _march
+from .predictor import _half_grid_values, _march, check_escape
 
 
 def forward_transform(controller, uhat, phat):
@@ -28,7 +28,8 @@ def inverse_transform(model, controller, X, what, dhat):
     """Reconstruct (uhat, phat) from the transformed field.
 
     Marches dp/dx = Dhat f(p, w(x) + kappa(p)) from p(0) = X, then recovers
-    the actuator estimate as uhat = w + kappa(p).
+    the actuator estimate as uhat = w + kappa(p).  Raises BlowUpError at
+    the first node where the march escapes.
     """
     if dhat <= 0.0:
         raise UsageError("delay estimate must be positive")
@@ -39,5 +40,6 @@ def inverse_transform(model, controller, X, what, dhat):
         return dhat * model.f(p, w_half[ih] + controller.kappa(p))
 
     pv = _march(rhs, X, what.num_intervals)
+    check_escape(pv, what.num_intervals)
     phat = GridProfile(pv if model.dim > 1 else pv[:, 0])
     return GridProfile(what.values + controller.kappa(pv)), phat

@@ -38,6 +38,10 @@ EXIT_VERIFY = 5
 
 ENV_OUT_ROOT = "DELAYCOMP_OUT_ROOT"
 
+# most sweep cells run as one ensemble: a step's march costs about the same
+# for 1 to 64 rows, while an ensemble holds every row's run until it ends
+ENSEMBLE_ROWS = 64
+
 
 def _out_path(args, sub):
     if args.out:
@@ -238,12 +242,12 @@ def cmd_sweep(args):
     os.makedirs(out, exist_ok=True)
 
     # cells that share plant and grid run as one lockstep ensemble, in
-    # chunks small enough to give every worker a share
+    # chunks small enough to give every worker a share and to bound memory
     groups = {}
     for i, (cfg, _, _, _) in enumerate(cells):
         groups.setdefault(cfg.ensemble_key(), []).append(i)
     workers = args.workers if args.workers and args.workers > 1 else 1
-    most = -(-len(cells) // workers)
+    most = min(-(-len(cells) // workers), ENSEMBLE_ROWS)
     chunks = [list(part) for group in groups.values()
               for part in np.array_split(group, -(-len(group) // most))]
     payloads = [[cells[i][:3] for i in chunk] for chunk in chunks]

@@ -224,8 +224,14 @@ class ControlHistory:
         return float(out[0]) if scalar else out
 
 
-def distributed_true_input(history, t, delay, num_intervals):
-    """Actuator field u(x, t) = U(t + D (x - 1)) on the grid."""
+def distributed_true_input(history, t, delay, num_intervals, rows=None):
+    """Actuator field u(x, t) = U(t + D (x - 1)) on the grid.
+
+    With `rows` (integer indices into a history of several rows), the
+    profile's columns are the fields of those rows, in that order.
+    """
     x = grid_nodes(num_intervals)
     th = t + float(delay) * (x - 1.0)
-    return GridProfile(history.sample_many(th))
+    if rows is not None:
+        th = np.broadcast_to(th[:, None], (th.size, len(rows)))
+    return GridProfile(history.sample_many(th, rows=rows))

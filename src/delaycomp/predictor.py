@@ -15,8 +15,9 @@ simulator uses this for the known prefixes of a block of steps, and for
 the tails of all the scenarios of an ensemble, see `simulate`), and it can
 start and stop at interior nodes.  Blow-up is checked once per march,
 after the sweep, by locating the first node that left the finite range
-(`check_escape`); the caller checks, because only it knows which members
-belong to one scenario.
+(`check_escape`, or `member_escapes` per member of a lockstep march); the
+caller checks, because only it knows which members belong to one
+scenario.
 
 The transition field collects Phi(x_i, 0) for the space-varying equation
 dr/dx = Dhat (df/dX)(p(x), uhat(x)) r, from which Phi(x, y) is composed as
@@ -75,15 +76,30 @@ def _march(rhs, y0, num_intervals, start=0, stops=None):
     return y
 
 
+def member_escapes(y, num_intervals, start=0):
+    """{i: BlowUpError} for the members i of a lockstep march `y` (nodes
+    start, start+1, ... along axis 0, members along axis 1) whose state
+    left the finite range, each naming the member's first node after
+    `start` that is non-finite or beyond BLOWUP_LIMIT."""
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.abs(y[1:]) <= BLOWUP_LIMIT)
+    if not bad.any():
+        return {}
+    bad = bad.reshape(bad.shape[:2] + (-1,)).any(axis=2)
+    lost = {}
+    for i in np.flatnonzero(bad.any(axis=0)):
+        x = (start + int(np.argmax(bad[:, i])) + 1) * (1.0 / num_intervals)
+        lost[int(i)] = BlowUpError(f"predictor march escaped near x={x:.4f}",
+                                   x=x)
+    return lost
+
+
 def check_escape(y, num_intervals, start=0):
     """Raise BlowUpError at the first node after `start` whose state is
     non-finite or beyond BLOWUP_LIMIT; `y` holds nodes start, start+1, ..."""
-    with np.errstate(invalid="ignore"):
-        bad = ~(np.abs(y[1:]) <= BLOWUP_LIMIT)
-    rows = bad.any(axis=tuple(range(1, bad.ndim)))
-    if rows.any():
-        x = (start + int(np.argmax(rows)) + 1) * (1.0 / num_intervals)
-        raise BlowUpError(f"predictor march escaped near x={x:.4f}", x=x)
+    lost = member_escapes(np.asarray(y)[:, None], num_intervals, start)
+    if lost:
+        raise lost[0]
 
 
 def _half_grid_values(profile):

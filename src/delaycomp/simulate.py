@@ -67,9 +67,8 @@ from .grid import GridProfile, HalfGridProfile, fd_x_wide, grid_nodes
 from .history import ControlHistory, distributed_true_input
 from .kernels import eval_all
 from .plants import DelayBounds, make_plant
-from .predictor import (BLOWUP_LIMIT, _march, check_escape,
-                        compute_predictor, compute_transition_field,
-                        predictor_spatial_derivative)
+from .predictor import (_march, compute_predictor, compute_transition_field,
+                        member_escapes, predictor_spatial_derivative)
 from .schedules import make_schedule
 
 STATE_LIMIT = 1e8
@@ -301,23 +300,6 @@ def snapshot_kernels(model, controller, true_delay, snap):
     return snap.kernels
 
 
-def _escapes(profiles, m):
-    """{i: BlowUpError} for the rows i of the (M+1, R, n) node profiles
-    that left the finite range, each as `check_escape` reports it alone."""
-    with np.errstate(invalid="ignore"):
-        inside = np.abs(profiles[1:]) <= BLOWUP_LIMIT
-    if inside.all():
-        return {}
-    bad = ~inside.all(axis=(0, 2))
-    lost = {}
-    for i in np.flatnonzero(bad):
-        try:
-            check_escape(profiles[:, i], m)
-        except BlowUpError as exc:
-            lost[int(i)] = exc
-    return lost
-
-
 def _stage_inputs_zero(t, dt, D):
     """True while the whole step from t lies left of the input activation
     at t = D: every stage then uses the zero pre-history branch, including
@@ -396,8 +378,6 @@ class _BlockMarches:
         # theta rises along a member and its last entry, t, is never settled
         self.count = np.argmin(hist.settled(self.theta), axis=-1)
         self.stop = np.maximum(self.count - 1, 0) // 2
-        # per step, the earliest head and stop over all rows
-        self.head, self.start = self.count.min(axis=0), self.stop.min(axis=0)
         self.uhat = np.empty_like(self.theta)
         known = np.arange(half_x.size) < self.count[..., None]
         rows = np.broadcast_to(np.arange(len(schedules))[:, None, None],
@@ -428,13 +408,9 @@ class _BlockMarches:
         among the rows; a row whose prefix reaches further marches those
         nodes again, with the same arithmetic as its prefix sweep."""
         j = k - self.k0
-        if rows.size == self.count.shape[0]:  # every row: plain slices
-            sel, head, start = slice(None), self.head[j], self.start[j]
-        else:
-            sel = rows
-            head, start = self.count[rows, j].min(), self.stop[rows, j].min()
-        self.uhat[sel, j, head:] = self.hist.sample_many(
-            self.theta[sel, j, head:], allow_tail_extrapolation=extrapolate,
+        head, start = self.count[rows, j].min(), self.stop[rows, j].min()
+        self.uhat[rows, j, head:] = self.hist.sample_many(
+            self.theta[rows, j, head:], allow_tail_extrapolation=extrapolate,
             rows=rows[:, None])
         if rows.size == 1:
             # one row marches on the plant's single-state shapes
@@ -442,15 +418,15 @@ class _BlockMarches:
             dhat, uh = self.dhat[r, j], self.uhat[r, j]
             y0 = self.prefix[start, r, j]
         else:
-            dhat, uh = self.dhat[sel, j][:, None], self.uhat[sel, j].T
-            y0 = self.prefix[start, sel, j]
+            dhat, uh = self.dhat[rows, j][:, None], self.uhat[rows, j].T
+            y0 = self.prefix[start, rows, j]
         f = self.model.f
 
         def rhs(ih, p):
             return dhat * f(p, uh[ih])
 
         tail = _march(rhs, y0, self.m, start=start)
-        return np.concatenate([self.prefix[:start, sel, j],
+        return np.concatenate([self.prefix[:start, rows, j],
                                tail.reshape(tail.shape[0], rows.size, -1)])
 
     def control(self, k, rows, extrapolate):
@@ -458,7 +434,7 @@ class _BlockMarches:
         freshly sampled tail.  Returns the values and {i: BlowUpError} for
         the rows rows[i] whose predictor or control escaped (value 0)."""
         p = self._profiles(k, rows, extrapolate)
-        lost = _escapes(p, self.m)
+        lost = member_escapes(p, self.m)
         ends = p[-1]
         if lost:  # kappa(0) = 0 stands in for an escaped predictor
             ends = ends.copy()
@@ -479,10 +455,9 @@ class _BlockMarches:
         j = k - self.k0
         t = k * self.dt
         p = self._profiles(k, rows, extrapolate=False)
-        lost = _escapes(p, self.m)
-        th = t + float(true_delay) * (grid_nodes(self.m) - 1.0)
-        u = self.hist.sample_many(np.broadcast_to(th, (rows.size, th.size)),
-                                  rows=rows[:, None])
+        lost = member_escapes(p, self.m)
+        u = np.ascontiguousarray(distributed_true_input(
+            self.hist, t, true_delay, self.m, rows=rows).values.T)
         snaps = {}
         for i, r in enumerate(rows):
             if i not in lost:

@@ -3,7 +3,7 @@ import pytest
 
 from delaycomp import ControlHistory, GridProfile, compute_predictor, \
     forward_transform, grid_nodes, inverse_transform, make_plant
-from delaycomp.errors import GridMismatchError, UsageError
+from delaycomp.errors import BlowUpError, GridMismatchError, UsageError
 
 PLANTS = ["integrator", "linear", "cubic", "double_integrator"]
 
@@ -65,6 +65,16 @@ def test_inverse_rejects_nonpositive_delay(linear_bundle):
     with pytest.raises(UsageError):
         inverse_transform(linear_bundle.model, linear_bundle.controller,
                           [1.0], w, -0.1)
+
+
+def test_inverse_march_escape_raises():
+    bundle = make_plant("linear", a=50.0, b=1.0, k=2.0)
+    with pytest.raises(BlowUpError) as exc:
+        inverse_transform(bundle.model, bundle.controller, [1e7],
+                          GridProfile(np.zeros(101)), 1.0)
+    # w = 0 gives p = 1e7 exp(48 x), beyond the limit 1e8 from x = 0.05
+    assert exc.value.x == pytest.approx(0.05)
+    assert "x=0.0500" in str(exc.value)
 
 
 def test_boundary_check_zero_when_control_matches(linear_bundle):

@@ -254,6 +254,33 @@ def test_sweep_ensemble_blowup_marks_only_its_cell(tmp_path):
         (ok / "trajectory.csv").read_bytes()
 
 
+def test_serial_sweep_chunks_hold_at_most_ensemble_rows(tmp_path,
+                                                       monkeypatch):
+    # a serial sweep splits a group of three cells into chunks of at most
+    # ENSEMBLE_ROWS rows, with the same files as one chunk of three
+    cfg = write_cfg(tmp_path, BASE)
+    axis = ["--set", "X0=0.5,1.0,1.5"]
+    whole = tmp_path / "whole"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(whole)]
+                    + axis) == 0
+    sizes = []
+    run_chunk = cli._sweep_cell
+
+    def recording(payload):
+        sizes.append(len(payload))
+        return run_chunk(payload)
+
+    monkeypatch.setattr(cli, "ENSEMBLE_ROWS", 2)
+    monkeypatch.setattr(cli, "_sweep_cell", recording)
+    split = tmp_path / "split"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(split)]
+                    + axis) == 0
+    assert sizes == [2, 1]
+    for name in ["aggregate.csv"] + [
+            f"cell_X0-{x}/trajectory.csv" for x in ("0.5", "1.0", "1.5")]:
+        assert (split / name).read_bytes() == (whole / name).read_bytes()
+
+
 def test_sweep_cells_resolving_to_one_scenario_exit_2(tmp_path, capsys):
     # three spellings of one value name three cells but one scenario
     cfg = write_cfg(tmp_path, BASE)
