@@ -8,24 +8,22 @@ convergence on closed-loop simulations.
 """
 
 from .backstepping import forward_transform, inverse_transform
-from .config import (apply_override, config_to_dict, load_config,
-                     parse_config_text)
+from .config import apply_override, config_to_dict, load_config
 from .errors import (BlowUpError, ConfigError, DelaycompError,
                      FutureQueryError, GridMismatchError,
                      IllConditionedTransitionError, UsageError)
 from .grid import GridProfile, HalfGridProfile, fd_x_wide, grid_nodes
-from .history import ControlHistory, distributed_true_input
+from .history import ControlHistory
 from .kernels import KernelSet, eval_all
 from .plants import (Controller, DelayBounds, LyapunovCertificate,
                      PlantBundle, PlantModel, check_derivative_consistency,
-                     check_lyapunov, make_cubic, make_double_integrator,
-                     make_linear, make_plant)
+                     check_lyapunov, make_plant)
 from .predictor import (TransitionField, compute_predictor,
                         compute_transition_field, forcing_integral,
                         predictor_spatial_derivative)
 from .residuals import (ResidualReport, convergence_study,
                         evaluate_snapshot_residuals)
-from .schedules import DelaySchedule, make_schedule, relative_mismatch
+from .schedules import DelaySchedule, make_schedule
 from .simulate import (ScenarioConfig, SimulationResult, SystemSnapshot,
                        materialize_slice, run_ensemble, run_scenario,
                        snapshot_field, snapshot_kernels)
@@ -41,12 +39,9 @@ __all__ = [
     "SimulationResult", "SystemSnapshot", "TransitionField", "UsageError",
     "apply_override", "check_derivative_consistency", "check_lyapunov",
     "compute_predictor", "compute_transition_field", "config_to_dict",
-    "convergence_study", "distributed_true_input", "eval_all", "evaluate_snapshot_residuals",
+    "convergence_study", "eval_all", "evaluate_snapshot_residuals",
     "fd_x_wide", "forcing_integral", "forward_transform", "grid_nodes",
-    "inverse_transform", "load_config", "make_cubic",
-    "make_double_integrator", "make_linear",
-    "make_plant", "make_schedule", "materialize_slice", "parse_config_text",
-    "predictor_spatial_derivative", "relative_mismatch", "run_ensemble",
-    "run_scenario",
-    "snapshot_field", "snapshot_kernels",
+    "inverse_transform", "load_config", "make_plant", "make_schedule",
+    "materialize_slice", "predictor_spatial_derivative", "run_ensemble",
+    "run_scenario", "snapshot_field", "snapshot_kernels",
 ]

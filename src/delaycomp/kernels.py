@@ -6,9 +6,11 @@ distributed fields, its transition matrices and the delay-estimate rates,
 (p1..p4), of the transformed-state equation (q1..q7), and the auxiliary
 analytic time derivatives (uhat_t, uhat_xt, phat_t, q1_t).
 
-The work is one pass.  `_Workspace` calls each plant and controller
-callback once, as one array call over the M+1 grid nodes, and derives
-from those arrays every shared intermediate of the three groups (first
+The work is one pass.  `_Workspace` evaluates f and kappa once on jets
+over the M+1 grid nodes (`jets.derivatives`), which gives f, kappa and
+every derivative the expansions read: the Jacobians of f, its second
+derivatives and the derivatives of kappa up to third order.  From those
+arrays it derives every shared intermediate of the three groups (first
 order, x-derivatives, time derivatives); `eval_all` then assembles each
 kernel from the workspace, so every quantity is computed in one place.
 
@@ -37,6 +39,7 @@ import numpy as np
 
 from .errors import UsageError
 from .grid import cumulative_trapezoid, grid_nodes
+from .jets import derivatives
 
 
 @dataclass
@@ -76,18 +79,10 @@ class _Workspace:
         P = snap.phat.reshape(m + 1, -1)
         U = snap.uhat
 
-        def call(fn, *args):
-            return np.asarray(fn(*args), dtype=float)
-
-        self.fv = call(model.f, P, U)
-        self.A = call(model.df_dX, P, U)
-        self.b = call(model.df_du, P, U)
-        self.fpu = call(model.d2f_dudX, P, U)
-        self.fuu = call(model.d2f_du2, P, U)
-        self.fpp = model.hess_X(P, U)
-        self.k1 = call(controller.dkappa_dX, P)
-        self.k2 = call(controller.d2kappa_dX2, P)
-        self.k3 = controller.third(P)
+        d = derivatives(model, controller, P, U, order=3)
+        self.fv, self.A, self.b = d.f, d.A, d.b
+        self.fpu, self.fuu, self.fpp = d.fpu, d.fuu, d.fpp
+        self.k1, self.k2, self.k3 = d.k1, d.k2, d.k3
 
         # first order
         self.B = snap.what_x + dh * np.einsum("ij,ij->i", self.k1, self.fv)
@@ -106,11 +101,11 @@ class _Workspace:
         self.I = np.einsum("iab,ib->ia", self.Phi, self.CT)
 
         # the drift at x = 0 under the true and the estimated actuator value
-        p0, u0 = P[0], snap.u[0]
-        self.f0_true = call(model.f, p0, u0)
+        d0 = derivatives(model, None, P[0], snap.u[0])
+        self.f0_true = d0.f
         self.f_mismatch = self.f0_true - self.fv[0]
-        self.f_dp = call(model.df_dX, p0, u0) - self.A[0]
-        self.f_du = call(model.df_du, p0, u0) - self.b[0]
+        self.f_dp = d0.A - self.A[0]
+        self.f_du = d0.b - self.b[0]
 
         # x-derivatives
         self.bx = dh * np.einsum("iaj,ij->ia", self.fpu, self.fv) \

@@ -1,19 +1,19 @@
-"""Plant models, nominal feedback laws, and their analytic derivatives.
+"""Plant models, nominal feedback laws, and checks on them.
 
-A plant is ``Xdot = f(X, v)`` with scalar input ``v`` and state ``X`` in R^n.
-Besides ``f`` itself the model carries the Jacobians and the mixed second
-derivatives that the kernel expansions consume.  Third-order data
-(``d2f_dX2``, ``d3kappa_dX3``) is optional; when absent it is reconstructed
-by central differencing of the analytic first/second derivatives, which keeps
-the kernel chain-rule expansions at FD accuracy for user-supplied plants.
+A plant is ``Xdot = f(X, v)`` with scalar input ``v`` and state ``X`` in
+R^n, stabilized without delay by the feedback ``kappa``.  The model is f
+and the controller is kappa, nothing else: every derivative of either
+that the kernels, the transition field and the forcing integral read is
+formed from them by forward-mode jets (`jets.derivatives`).
 
 Every callback, of the plant, the controller and the Lyapunov certificate,
 is array-native: it maps states of shape (..., n), and inputs of shape
 (...), to one result per leading index, so a single call evaluates all the
 grid nodes of a profile, or a batch of (K, n) states marched in lockstep,
-as well as a single (n,) state with a scalar input.  The two checks below
-rest on that contract: each evaluates every callback once, on all of its
-samples stacked into one (S, n) batch.
+as well as a single (n,) state with a scalar input.  The jets pass through
+f and kappa written this way in plain numpy.  The two checks below rest on
+that contract: each evaluates every callback once, on all of its samples
+stacked into one (S, n) batch.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import UsageError
-
-_FD_STEP = 1e-5
+from .jets import derivatives
 
 
 def _stack_states(states, dim):
@@ -39,57 +38,21 @@ def _stack_states(states, dim):
 
 @dataclass
 class PlantModel:
-    """Dynamics f and its derivatives up to the order the kernels need.
-
-    Every callback takes a state X of shape (..., n) and an input u of
-    shape (...) (or a scalar) and broadcasts over the leading axes, each
-    row computed as a single-state call would compute it: `f` and `df_du`
-    and `d2f_du2` give (..., n), `df_dX` and `d2f_dudX` (..., n, n), and
-    `d2f_dX2` (..., n, n, n).  There is no per-row fallback for a
-    callback that only takes one state.
-    """
+    """Dynamics f(X, u): states of shape (..., n) and inputs of shape (...)
+    (or a scalar) to rates of shape (..., n), each row computed as a
+    single-state call would compute it."""
 
     dim: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    df_dX: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    df_du: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2f_dudX: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2f_du2: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2f_dX2: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-
-    def hess_X(self, X, u):
-        """d2f/dX2 as (..., n, n, n), [..., i, j, k] = d^2 f_i / dX_j dX_k.
-
-        Falls back to central differences of df_dX when no analytic tensor
-        was supplied.
-        """
-        X = np.asarray(X, dtype=float)
-        if self.d2f_dX2 is not None:
-            return np.asarray(self.d2f_dX2(X, u), dtype=float)
-        return _central_differences(lambda Y: self.df_dX(Y, u), X, _FD_STEP)
 
 
 @dataclass
 class Controller:
-    """Nominal delay-free feedback kappa with kappa(0) = 0.
-
-    Like the plant callbacks, every callback broadcasts over leading axes:
-    for states of shape (..., n), `kappa` gives (...), `dkappa_dX`
-    (..., n), `d2kappa_dX2` (..., n, n) and `d3kappa_dX3` (..., n, n, n).
-    """
+    """Nominal delay-free feedback kappa with kappa(0) = 0, from states of
+    shape (..., n) to inputs of shape (...)."""
 
     dim: int
     kappa: Callable[[np.ndarray], np.ndarray]
-    dkappa_dX: Callable[[np.ndarray], np.ndarray]
-    d2kappa_dX2: Callable[[np.ndarray], np.ndarray]
-    d3kappa_dX3: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def third(self, X):
-        """d3 kappa / dX3 as (..., n, n, n), FD fallback on the Hessian."""
-        X = np.asarray(X, dtype=float)
-        if self.d3kappa_dX3 is not None:
-            return np.asarray(self.d3kappa_dX3(X), dtype=float)
-        return _central_differences(self.d2kappa_dX2, X, _FD_STEP)
 
 
 def _central_differences(g, X, h):
@@ -175,18 +138,20 @@ def _worst(errors):
 
 
 def check_derivative_consistency(model, controller, samples, h=1e-4, scale=10.0):
-    """Compare every analytic derivative against central finite differences.
+    """Compare the jet derivatives of f and kappa against central finite
+    differences.
 
     `samples` is a list of (X, u) pairs.  They are stacked into one (S, n)
     batch of states and one (S,) batch of inputs, and every derivative and
     its finite-difference estimate is evaluated once on the batch.  Each
-    derivative passes when its worst scaled error, |analytic - fd| /
-    (1 + |analytic|), is at most ``scale * h**2``.  Report-only: never
-    raises on failure.
+    derivative passes when its worst scaled error, |jet - fd| /
+    (1 + |jet|), is at most ``scale * h**2``.  Report-only: never raises on
+    failure.
     """
     X = _stack_states([x for x, _ in samples], model.dim)
     u = np.array([float(v) for _, v in samples])
     f, kappa = model.f, controller.kappa
+    jet = derivatives(model, controller, X, u, order=2)
 
     def f_du(Y):
         return (f(Y, u + h) - f(Y, u - h)) / (2.0 * h)
@@ -195,15 +160,13 @@ def check_derivative_consistency(model, controller, samples, h=1e-4, scale=10.0)
         return _central_differences(kappa, Y, h)
 
     pairs = {
-        "df_dX": (model.df_dX(X, u),
-                  _central_differences(lambda Y: f(Y, u), X, h)),
-        "df_du": (model.df_du(X, u), f_du(X)),
-        "d2f_dudX": (model.d2f_dudX(X, u), _central_differences(f_du, X, h)),
-        "d2f_du2": (model.d2f_du2(X, u),
+        "df_dX": (jet.A, _central_differences(lambda Y: f(Y, u), X, h)),
+        "df_du": (jet.b, f_du(X)),
+        "d2f_dudX": (jet.fpu, _central_differences(f_du, X, h)),
+        "d2f_du2": (jet.fuu,
                     (f(X, u + h) - 2.0 * f(X, u) + f(X, u - h)) / (h * h)),
-        "dkappa_dX": (controller.dkappa_dX(X), grad(X)),
-        "d2kappa_dX2": (controller.d2kappa_dX2(X),
-                        _central_differences(grad, X, h)),
+        "dkappa_dX": (jet.k1, grad(X)),
+        "d2kappa_dX2": (jet.k2, _central_differences(grad, X, h)),
     }
     return CheckReport([
         CheckEntry(name, _worst(np.abs(a - fd) / (1.0 + np.abs(a))),
@@ -231,21 +194,6 @@ def check_lyapunov(cert, model, controller, samples, tol=1e-12):
 # built-in plants
 
 
-def _constant(value):
-    """A callback whose value is the same at every state: for states of
-    shape (..., n) it returns `value` repeated to (...) + value.shape."""
-    value = np.asarray(value, dtype=float)
-
-    def call(X, u=None):
-        return np.broadcast_to(value, np.shape(X)[:-1] + value.shape).copy()
-
-    return call
-
-
-def _zeros(*shape):
-    return _constant(np.zeros(shape))
-
-
 def _coord(X, i):
     """State component i over the leading axes: a numpy scalar for one
     (n,) state, because arithmetic on the 0-d array that X[..., i] gives
@@ -264,21 +212,8 @@ def make_linear(a=1.0, b=1.0, k=2.0):
     """Scalar linear plant Xdot = a X + b v with kappa = -k X."""
     a, b, k = float(a), float(b), float(k)
     model = PlantModel(
-        dim=1,
-        f=lambda X, u: (a * _coord(X, 0) + b * u)[..., None],
-        df_dX=_constant([[a]]),
-        df_du=_constant([b]),
-        d2f_dudX=_zeros(1, 1),
-        d2f_du2=_zeros(1),
-        d2f_dX2=_zeros(1, 1, 1),
-    )
-    ctrl = Controller(
-        dim=1,
-        kappa=lambda X: -k * _coord(X, 0),
-        dkappa_dX=_constant([-k]),
-        d2kappa_dX2=_zeros(1, 1),
-        d3kappa_dX3=_zeros(1, 1, 1),
-    )
+        dim=1, f=lambda X, u: (a * _coord(X, 0) + b * u)[..., None])
+    ctrl = Controller(dim=1, kappa=lambda X: -k * _coord(X, 0))
     closed = a - b * k
     cert = _square_certificate(-2.0 * closed * 0.999) if closed < 0.0 \
         else None
@@ -300,23 +235,8 @@ def make_cubic():
         x = _coord(X, 0)
         return x * x * x - x
 
-    model = PlantModel(
-        dim=1,
-        f=f,
-        df_dX=lambda X, u: (-3.0 * (X[..., 0] * X[..., 0]))[..., None, None],
-        df_du=_constant([1.0]),
-        d2f_dudX=_zeros(1, 1),
-        d2f_du2=_zeros(1),
-        d2f_dX2=lambda X, u: (-6.0 * X[..., 0])[..., None, None, None],
-    )
-    ctrl = Controller(
-        dim=1,
-        kappa=kappa,
-        dkappa_dX=lambda X: (3.0 * (X[..., 0] * X[..., 0]) - 1.0)[..., None],
-        d2kappa_dX2=lambda X: (6.0 * X[..., 0])[..., None, None],
-        d3kappa_dX3=_constant([[[6.0]]]),
-    )
-    return PlantBundle(model, ctrl, _square_certificate(2.0 * 0.999))
+    return PlantBundle(PlantModel(dim=1, f=f), Controller(dim=1, kappa=kappa),
+                       _square_certificate(2.0 * 0.999))
 
 
 def make_double_integrator():
@@ -326,27 +246,13 @@ def make_double_integrator():
     solution of the closed-loop Lyapunov equation Acl' P + P Acl = -I with
     Acl = A - B K, scaled so that V >= |X|^2.
     """
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    B = np.array([0.0, 1.0])
     K = np.array([1.0, 2.0])
     model = PlantModel(
         dim=2,
         # A X + B u written out, so a batch row equals a single call exactly
         f=lambda X, u: np.stack(
-            [X[..., 1], np.broadcast_to(u, np.shape(X)[:-1])], axis=-1),
-        df_dX=_constant(A),
-        df_du=_constant(B),
-        d2f_dudX=_zeros(2, 2),
-        d2f_du2=_zeros(2),
-        d2f_dX2=_zeros(2, 2, 2),
-    )
-    ctrl = Controller(
-        dim=2,
-        kappa=lambda X: -(X @ K),
-        dkappa_dX=_constant(-K),
-        d2kappa_dX2=_zeros(2, 2),
-        d3kappa_dX3=_zeros(2, 2, 2),
-    )
+            [X[..., 1], np.broadcast_to(u, np.shape(X)[:-1])], axis=-1))
+    ctrl = Controller(dim=2, kappa=lambda X: -(X @ K))
     P = np.array([[1.5, 0.5], [0.5, 0.5]])
     lam_min = float(np.min(np.linalg.eigvalsh(P)))
     Pn = P / lam_min  # V = X' Pn X >= |X|^2

@@ -22,7 +22,9 @@ scenario.
 The transition field collects Phi(x_i, 0) for the space-varying equation
 dr/dx = Dhat (df/dX)(p(x), uhat(x)) r, from which Phi(x, y) is composed as
 Phi(x, 0) Phi(y, 0)^{-1}.  It is marched on node profiles of p and uhat,
-whose midpoints come from the same four-point rule.
+whose midpoints come from the same four-point rule.  The Jacobian df/dX
+here, and df/du and dkappa/dX in the forcing integral, come from one jet
+evaluation of f (and kappa) over all the points (`jets.derivatives`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from .errors import BlowUpError, IllConditionedTransitionError, UsageError
 from .grid import (GridProfile, HalfGridProfile, cumulative_trapezoid,
                    grid_nodes)
+from .jets import derivatives
 
 BLOWUP_LIMIT = 1e8
 COND_LIMIT = 1e12
@@ -165,11 +168,11 @@ class TransitionField:
 
 def compute_transition_field(model, phat, uhat, dhat):
     """March dPhi/dx = Dhat (df/dX)(p, uhat) Phi from the identity, with
-    df/dX evaluated once, as one array call over the half grid."""
+    df/dX from one jet evaluation of f over the half grid."""
     n = model.dim
     ph = _half_grid_values(phat)
-    A = np.asarray(model.df_dX(ph.reshape(ph.shape[0], n),
-                               _half_grid_values(uhat)), dtype=float)
+    A = derivatives(model, None, ph.reshape(ph.shape[0], n),
+                    _half_grid_values(uhat)).A
 
     def rhs(ih, Phi):
         return dhat * (A[ih] @ Phi)
@@ -185,12 +188,10 @@ def forcing_integral(model, controller, phat, uhat, what_x, fieldobj, dhat):
     uhat_x = what_x + Dhat (dkappa/dX) f."""
     m = uhat.num_intervals
     x = grid_nodes(m)
-    p = phat.values.reshape(m + 1, -1)
-    fv = np.asarray(model.f(p, uhat.values), dtype=float)
-    bv = np.asarray(model.df_du(p, uhat.values), dtype=float)
-    k1 = np.asarray(controller.dkappa_dX(p), dtype=float)
-    B = what_x.values + dhat * np.einsum("ij,ij->i", k1, fv)
-    G = fv + bv * ((x - 1.0) * B)[:, None]
+    d = derivatives(model, controller, phat.values.reshape(m + 1, -1),
+                    uhat.values)
+    B = what_x.values + dhat * np.einsum("ij,ij->i", d.k1, d.f)
+    G = d.f + d.b * ((x - 1.0) * B)[:, None]
     J = np.einsum("iab,ib->ia", fieldobj.inverses, G)
     ct = cumulative_trapezoid(J, 1.0 / m)
     return np.einsum("iab,ib->ia", fieldobj.matrices, ct)

@@ -293,6 +293,9 @@ def convergence_study(config, ladder, caps=None, slope_min=1.7, workers=None):
 
     if not all(0.0 < float(dt) < math.inf for _, dt in ladder):
         raise ConfigError("every ladder rung needs a positive, finite dt")
+    if not 0.0 < float(slope_min) < math.inf:
+        raise ConfigError(f"slope_min must be positive and finite, got "
+                          f"{slope_min!r}")
     rung_configs = [config.with_resolution(m, dt) for m, dt in ladder]
     for rc in rung_configs:
         rc.validate()  # every rung is checked before the first one runs

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from delaycomp import ControlHistory, make_plant, materialize_slice
+from delaycomp import ControlHistory, Controller, PlantModel, make_plant, \
+    materialize_slice
 
 
 def smooth_signal(theta):
@@ -29,6 +30,20 @@ def make_slice(plant, X, num_intervals=200, t=3.0, true_delay=0.6,
                              np.atleast_1d(X), true_delay, dhat, dhat_dot,
                              dhat_ddot, num_intervals)
     return bundle, snap
+
+
+def trig_plant():
+    """f = (sin(x0) x1, exp(x0) u + cos(x1)), kappa = sin(x0) exp(x1) - x0,
+    given as f and kappa alone."""
+    def f(X, u):
+        x0, x1 = X[..., 0], X[..., 1]
+        return np.stack([np.sin(x0) * x1, np.exp(x0) * u + np.cos(x1)],
+                        axis=-1)
+
+    def kappa(X):
+        return np.sin(X[..., 0]) * np.exp(X[..., 1]) - X[..., 0]
+
+    return PlantModel(dim=2, f=f), Controller(dim=2, kappa=kappa)
 
 
 @pytest.fixture

@@ -446,6 +446,21 @@ def test_verify_bad_rung_step_exit_2(tmp_path, capsys, ladder):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("slope_min", ["nan", "inf", "-inf", "0", "-1"])
+def test_verify_bad_slope_min_exit_2(tmp_path, capsys, slope_min):
+    # a required order that is not positive and finite is rejected before
+    # the first rung runs
+    cfg = write_cfg(tmp_path, BASE)
+    out = tmp_path / "v"
+    code = cli.main(["verify", "--config", cfg, "--out", str(out),
+                     "--ladder", "10:0.02,20:0.01,40:0.005",
+                     f"--slope-min={slope_min}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "slope_min" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_cell_without_window_centre_has_no_residual(tmp_path):
     # at T = 1.5 every snapshot centre lies before the analysis window
     # (max Dhat + margin = 1.1 s); at T = 2.5 two of them fall inside it

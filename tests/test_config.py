@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycomp import ScenarioConfig, apply_override, cli, config_to_dict, \
-    load_config, parse_config_text
+    load_config
+from delaycomp.config import parse_config_text
 from delaycomp.errors import ConfigError, UsageError
 
 SAMPLE = """

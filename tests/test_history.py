@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaycomp import ControlHistory, distributed_true_input
+from delaycomp import ControlHistory
+from delaycomp.history import distributed_true_input
 from delaycomp.grid import lagrange4
 from delaycomp.errors import FutureQueryError, UsageError
 from conftest import make_history, smooth_signal

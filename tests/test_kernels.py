@@ -4,6 +4,8 @@ import pytest
 from delaycomp import ControlHistory, eval_all, grid_nodes, make_plant, \
     materialize_slice, snapshot_field, snapshot_kernels
 from delaycomp.grid import fd_x_wide
+from delaycomp.jets import derivatives
+from delaycomp.plants import Controller, PlantModel
 from conftest import make_slice
 
 PLANT_STATES = [("linear", [0.4]), ("cubic", [0.5]),
@@ -85,7 +87,8 @@ def test_exact_delay_degeneracy():
     # with D = Dhat the mismatch prefactor of p1 is one
     fv = np.array([bundle.model.f(snap.phat[i], snap.uhat[i])[0]
                    for i in range(snap.num_intervals + 1)])
-    k1 = np.array([bundle.controller.dkappa_dX(snap.phat[i])[0]
+    k1 = np.array([derivatives(bundle.model, bundle.controller, snap.phat[i],
+                               snap.uhat[i]).k1[0]
                    for i in range(snap.num_intervals + 1)])
     expect = snap.what_x + snap.dhat * k1 * fv
     assert np.max(np.abs(ks.p1 - expect)) < 1e-12
@@ -111,3 +114,20 @@ def test_kernel_cache_reused():
     np.testing.assert_allclose(ks3.p1, 0.75 * ks1.p1, rtol=1e-14, atol=0.0)
     assert snapshot_kernels(bundle.model, bundle.controller, 0.45,
                             snap) is ks3
+
+
+def test_plant_given_as_f_and_kappa_has_the_builtin_kernels():
+    # the cubic plant written with powers and a quotient: its kernels come
+    # from the same jets, so they equal the built-in's to roundoff
+    bundle, snap = make_slice("cubic", [0.5])
+    ks = snapshot_kernels(bundle.model, bundle.controller, 0.6, snap)
+    model = PlantModel(dim=1, f=lambda X, u: u[..., None] - X ** 3)
+    ctrl = Controller(dim=1, kappa=lambda X: (2.0 * X[..., 0] ** 3
+                                              - 2.0 * X[..., 0]) / 2.0)
+    snap.field = snap.kernels = None
+    other = snapshot_kernels(model, ctrl, 0.6, snap)
+    for name in ("p1", "p2", "q1", "q2", "p3", "p4", "q3", "q4", "q5", "q6",
+                 "uhat_t", "uhat_xt", "phat_t", "q1_t", "q7"):
+        a, b = np.asarray(getattr(ks, name)), np.asarray(getattr(other, name))
+        scale = max(1.0, float(np.max(np.abs(a))))
+        assert np.max(np.abs(a - b)) <= 1e-13 * scale, name

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from delaycomp import make_schedule, relative_mismatch
+from delaycomp import make_schedule
+from delaycomp.schedules import relative_mismatch
 from delaycomp.errors import ConfigError
 from delaycomp.plants import DelayBounds
 

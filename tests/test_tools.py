@@ -77,7 +77,8 @@ def test_equivalence_probe_same_checkout():
     proc = subprocess.run([sys.executable, PROBE, ROOT, ROOT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    names = ("simulate-linear", "simulate-cubic", "verify", "sweep",
+    names = ("simulate-linear", "simulate-cubic",
+             "simulate-double-integrator", "verify", "sweep",
              "sweep-ensembles")
     for name in names:
         assert f"== {name}: exit 0 / 0" in proc.stdout

@@ -7,7 +7,8 @@ holds `src/delaycomp`).  In each checkout, from a fresh temporary
 directory, the probe runs:
 
 * `delaycomp simulate` on the CLI determinism scenario (M=20, dt=0.005,
-  T=1.5), once on the linear and once on the cubic plant;
+  T=1.5), once each on the linear, the cubic and the double-integrator
+  plant (X0 = 1.0, -0.5);
 * `delaycomp verify` on the benchmark's certify scenario over the
   integer-ratio ladder 10:0.02,20:0.01,40:0.005;
 * a two-cell `delaycomp sweep` over the feedback gain k;
@@ -47,6 +48,10 @@ SWEEP = "M = 32\ndt = 0.004\nT = 2.0\nstride = 25\nmargin = 1.0\n"
 RUNS = (
     ("simulate-linear", LINEAR + SCHEDULE + DETERMINISM, ["simulate"]),
     ("simulate-cubic", "plant = cubic\n" + SCHEDULE + DETERMINISM,
+     ["simulate"]),
+    ("simulate-double-integrator",
+     "plant = double_integrator\n"
+     + SCHEDULE.replace("X0 = 1.0", "X0 = 1.0, -0.5") + DETERMINISM,
      ["simulate"]),
     ("verify", LINEAR + SCHEDULE + CERTIFY,
      ["verify", "--ladder", "10:0.02,20:0.01,40:0.005"]),
